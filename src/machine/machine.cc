@@ -21,10 +21,10 @@ std::string MachineConfig::Validate() const {
   if (geometry.ways == 0) {
     return "cache geometry needs at least one way";
   }
-  if (processor_speed <= 0.0) {
+  if (!(processor_speed > 0.0)) {
     return "processor_speed must be > 0";
   }
-  if (cache_size_factor <= 0.0) {
+  if (!(cache_size_factor > 0.0)) {
     return "cache_size_factor must be > 0";
   }
   if (!topology.IsFlat() && cache_model != CacheModelKind::kFootprint) {

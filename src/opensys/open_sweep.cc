@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 
@@ -15,6 +14,7 @@
 #include "src/runner/cell_seed.h"
 #include "src/runner/worker_pool.h"
 #include "src/telemetry/json.h"
+#include "src/telemetry/sampler.h"
 
 namespace affsched {
 
@@ -73,21 +73,6 @@ double MeanServiceDemandSeconds(const std::vector<AppProfile>& apps,
 
 namespace {
 
-std::vector<std::string> SplitOn(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : text) {
-    if (c == sep) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
-
 OpenSweepSpec BaseOpenSpec() {
   OpenSweepSpec spec;
   spec.machine = PaperMachineConfig();
@@ -122,187 +107,84 @@ OpenSweepSpec OpenSysSmokeSpec() {
   return spec;
 }
 
-bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::string* error) {
-  if (text.empty()) {
-    *error = "empty open sweep spec";
-    return false;
-  }
-  const std::vector<std::string> tokens = SplitOn(text, ';');
-  size_t first_override = 0;
-  if (tokens[0].find('=') == std::string::npos) {
-    const std::string& preset = tokens[0];
-    if (preset == "opensys") {
-      *spec = OpenSysSpec();
-    } else if (preset == "opensys-smoke") {
-      *spec = OpenSysSmokeSpec();
-    } else {
-      *error = "unknown open sweep preset '" + preset + "'";
-      return false;
-    }
-    first_override = 1;
-  } else {
-    *spec = OpenSysSpec();  // custom specs start from the full grid
-    spec->name = "custom";
-  }
-  if (first_override < tokens.size()) {
-    spec->name = text;  // overrides applied: record full provenance
-  }
+namespace {
 
-  for (size_t i = first_override; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    if (token.empty()) {
-      continue;
+// The open grammar's own keys, then the shared ones (src/runner/grid_spec.h).
+bool ApplyOpenKey(OpenSweepSpec* spec, const std::string& key, const std::string& value,
+                  std::string* error) {
+  if (key == "arrivals") {
+    return ReadSpecList(
+        key, value,
+        [](const std::string& name, ArrivalKind* kind, std::string* item_error) {
+          return ArrivalKindFromName(name, kind) ||
+                 SpecError(item_error, "unknown arrival process '" + name + "'");
+        },
+        &spec->arrivals, error);
+  }
+  if (key == "rhos") {
+    return ReadSpecList(
+        key, value,
+        [&key](const std::string& number, double* rho, std::string* item_error) {
+          // Cell seeds key on RhoPermille, so a rho must round to >= 1 per mille.
+          return ReadSpecNumber(key, number, rho, item_error) &&
+                 ((std::lround(*rho * 1000.0) >= 1 && *rho <= 1.5) ||
+                  SpecError(item_error, "rho '" + number +
+                                              "' must be in (0, 1.5] and round to >= 0.001"));
+        },
+        &spec->rhos, error);
+  }
+  if (key == "count" || key == "reps") {
+    size_t& n = key == "count" ? spec->jobs_per_cell : spec->replications;
+    return ReadSpecNumber(key, value, &n, error) &&
+           (n >= 1 || SpecError(error, key + " must be >= 1"));
+  }
+  if (key == "mpl-cap") {
+    return ReadSpecNumber(key, value, &spec->mpl_cap, error);
+  }
+  if (key == "max-queue") {
+    return ReadSpecNumber(key, value, &spec->max_queue, error);
+  }
+  if (key == "warmup") {
+    OpenSystemOptions& open = spec->open;
+    if (value == "mser") {
+      open.warmup_rule = WarmupRule::kMser;
+      return true;
     }
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      *error = "expected key=value, got '" + token + "'";
-      return false;
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "policies") {
-      spec->policies.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
-        PolicyKind kind;
-        if (!PolicyKindFromName(name, &kind)) {
-          *error = "unknown policy '" + name + "'";
-          return false;
-        }
-        spec->policies.push_back(kind);
-      }
-    } else if (key == "arrivals") {
-      spec->arrivals.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
-        ArrivalKind kind;
-        if (!ArrivalKindFromName(name, &kind)) {
-          *error = "unknown arrival process '" + name + "'";
-          return false;
-        }
-        spec->arrivals.push_back(kind);
-      }
-    } else if (key == "rhos") {
-      spec->rhos.clear();
-      for (const std::string& number : SplitOn(value, ',')) {
-        const double rho = std::atof(number.c_str());
-        if (rho <= 0.0 || rho > 1.5) {
-          *error = "rho '" + number + "' out of range (0, 1.5]";
-          return false;
-        }
-        spec->rhos.push_back(rho);
-      }
-    } else if (key == "count") {
-      const int n = std::atoi(value.c_str());
-      if (n < 1) {
-        *error = "count must be >= 1";
-        return false;
-      }
-      spec->jobs_per_cell = static_cast<size_t>(n);
-    } else if (key == "reps") {
-      const int n = std::atoi(value.c_str());
-      if (n < 1) {
-        *error = "reps must be >= 1";
-        return false;
-      }
-      spec->replications = static_cast<size_t>(n);
-    } else if (key == "seed") {
-      spec->root_seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "procs") {
-      const int n = std::atoi(value.c_str());
-      if (n < 1) {
-        *error = "procs must be >= 1";
-        return false;
-      }
-      spec->machine.num_processors = static_cast<size_t>(n);
-    } else if (key == "speed") {
-      spec->machine.processor_speed = std::atof(value.c_str());
-    } else if (key == "cache") {
-      spec->machine.cache_size_factor = std::atof(value.c_str());
-    } else if (key == "topology") {
-      // topology=preset or topology=preset,key=value,... (comma-separated;
-      // see src/topology). Cell seeds do not depend on the topology, so
-      // hierarchical cells share common random numbers with flat ones.
-      if (!ParseTopologySpec(value, &spec->machine.topology, error)) {
-        return false;
-      }
-    } else if (key == "steal") {
-      // steal=nosteal,cluster,... — sugar for the multi-queue policy family:
-      // replaces the policy list with the mq-* kind for each steal radius.
-      spec->policies.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
-        PolicyKind kind;
-        if (!PolicyKindFromStealName(name, &kind)) {
-          *error = "unknown steal policy '" + name + "'";
-          return false;
-        }
-        spec->policies.push_back(kind);
-      }
-    } else if (key == "mpl-cap") {
-      const int n = std::atoi(value.c_str());
-      if (n < 0) {
-        *error = "mpl-cap must be >= 0 (0 = unbounded)";
-        return false;
-      }
-      spec->mpl_cap = static_cast<size_t>(n);
-    } else if (key == "max-queue") {
-      spec->max_queue = std::atoll(value.c_str());
-    } else if (key == "warmup") {
-      if (value == "mser") {
-        spec->open.warmup_rule = WarmupRule::kMser;
-      } else {
-        const double fraction = std::atof(value.c_str());
-        if (fraction < 0.0 || fraction >= 1.0) {
-          *error = "warmup must be 'mser' or a fraction in [0, 1)";
-          return false;
-        }
-        spec->open.warmup_rule = WarmupRule::kFraction;
-        spec->open.warmup_fraction = fraction;
-      }
-    } else if (key == "burst") {
-      const double factor = std::atof(value.c_str());
-      if (factor <= 1.0) {
-        *error = "burst factor must be > 1";
-        return false;
-      }
-      spec->onoff_burst_factor = factor;
-    } else if (key == "colors") {
-      const int n = std::atoi(value.c_str());
-      if (n < 0 || n > 64) {
-        *error = "colors must be in 0..64 (0 = footprint model)";
-        return false;
-      }
-      spec->machine.num_colors = static_cast<size_t>(n);
-      spec->machine.cache_model =
-          n > 0 ? CacheModelKind::kPartitioned : CacheModelKind::kFootprint;
-    } else if (key == "rt") {
-      if (value == "1" || value == "true" || value == "on") {
-        spec->rt = true;
-      } else if (value == "0" || value == "false" || value == "off") {
-        spec->rt = false;
-      } else {
-        *error = "rt must be 0 or 1, got '" + value + "'";
-        return false;
-      }
-    } else if (key == "deadline-mix" || key == "deadline_mix") {
-      if (!IsDeadlineMix(value)) {
-        *error = "unknown deadline mix '" + value + "' (expected soft|hard|mixed|tight)";
-        return false;
-      }
-      spec->deadline_mix = value;
-    } else {
-      *error = "unknown open sweep spec key '" + key + "'";
-      return false;
+    open.warmup_rule = WarmupRule::kFraction;
+    return ReadSpecNumber(key, value, &open.warmup_fraction, error) &&
+           ((open.warmup_fraction >= 0.0 && open.warmup_fraction < 1.0) ||
+            SpecError(error, "warmup must be 'mser' or a fraction in [0, 1)"));
+  }
+  if (key == "burst") {
+    return ReadSpecNumber(key, value, &spec->onoff_burst_factor, error) &&
+           (spec->onoff_burst_factor > 1.0 || SpecError(error, "burst factor must be > 1"));
+  }
+  return ApplyGridKey(key, value, "open sweep", spec, error);
+}
+
+bool LoadOpenPreset(OpenSweepSpec* spec, const std::string& preset) {
+  // A spec without a preset starts from the full opensys grid.
+  const std::pair<const char*, OpenSweepSpec (*)()> presets[] = {
+      {"", OpenSysSpec}, {"opensys", OpenSysSpec}, {"opensys-smoke", OpenSysSmokeSpec}};
+  for (const auto& [name, make] : presets) {
+    if (preset == name) {
+      *spec = make();
+      return true;
     }
   }
-  if (spec->policies.empty() || spec->arrivals.empty() || spec->rhos.empty()) {
-    *error = "open sweep spec needs at least one policy, arrival process and rho";
+  return false;
+}
+
+}  // namespace
+
+bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::string* error) {
+  if (!ParseSpec(text, ';', "open sweep", std::bind_front(LoadOpenPreset, spec),
+                 std::bind_front(ApplyOpenKey, spec), error)) {
     return false;
   }
-  const std::string machine_problem = spec->machine.Validate();
-  if (!machine_problem.empty()) {
-    *error = machine_problem;
-    return false;
-  }
-  return true;
+  spec->name = text;
+  *error = spec->machine.Validate();
+  return error->empty();
 }
 
 namespace {
@@ -465,22 +347,8 @@ std::string OpenSweepResult::ToJson() const {
   std::ostringstream o;
   o << "{\"schema_version\":2,\"tool\":\"open_sweep_runner\",\"mode\":\"open\"";
 
-  o << ",\"spec\":{\"name\":\"" << JsonEscape(spec.name) << "\""
-    << ",\"root_seed\":" << spec.root_seed << ",\"machine\":{\"procs\":"
-    << spec.machine.num_processors << ",\"speed\":" << JsonNumber(spec.machine.processor_speed)
-    << ",\"cache\":" << JsonNumber(spec.machine.cache_size_factor);
-  if (spec.machine.cache_model == CacheModelKind::kPartitioned) {
-    o << ",\"colors\":" << spec.machine.num_colors;
-  }
-  if (!spec.machine.topology.IsFlat()) {
-    o << ",\"topology\":\"" << JsonEscape(spec.machine.topology.ToSpecString()) << "\"";
-  }
-  o << "}";
-  o << ",\"policies\":[";
-  for (size_t i = 0; i < spec.policies.size(); ++i) {
-    o << (i > 0 ? "," : "") << "\"" << PolicyKindCliName(spec.policies[i]) << "\"";
-  }
-  o << "],\"arrivals\":[";
+  AppendGridSpecJsonHead(spec, o);
+  o << ",\"arrivals\":[";
   for (size_t i = 0; i < spec.arrivals.size(); ++i) {
     o << (i > 0 ? "," : "") << "\"" << ArrivalKindName(spec.arrivals[i]) << "\"";
   }
@@ -497,10 +365,7 @@ std::string OpenSweepResult::ToJson() const {
     << "\",\"fraction\":" << JsonNumber(spec.open.warmup_fraction) << "}"
     << ",\"littles_tolerance\":" << JsonNumber(spec.open.littles_tolerance)
     << ",\"mean_demand_s\":" << JsonNumber(mean_demand_s);
-  if (spec.rt) {
-    o << ",\"rt\":true,\"deadline_mix\":\"" << JsonEscape(spec.deadline_mix) << "\"";
-  }
-  o << "}";
+  AppendGridSpecJsonTail(spec, o);
 
   o << ",\"cells\":[";
   for (size_t c = 0; c < cells.size(); ++c) {
@@ -543,12 +408,7 @@ std::string OpenSweepResult::ToJson() const {
 }
 
 bool OpenSweepResult::WriteJsonFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << ToJson() << "\n";
-  return out.good();
+  return Sampler::WriteFile(path, ToJson() + "\n");
 }
 
 }  // namespace affsched

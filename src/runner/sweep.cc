@@ -1,17 +1,15 @@
 #include "src/runner/sweep.h"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
 #include <algorithm>
+#include <functional>
+#include <sstream>
 
 #include "src/apps/apps.h"
 #include "src/common/check.h"
 #include "src/common/time.h"
-#include "src/rt/deadline_mix.h"
 #include "src/runner/cell_seed.h"
 #include "src/telemetry/json.h"
+#include "src/telemetry/sampler.h"
 
 namespace affsched {
 
@@ -39,16 +37,6 @@ std::vector<PolicyKind> EquiPlusDynamicFamily() {
 std::vector<WorkloadMix> AllMixes() {
   const auto mixes = PaperMixes();
   return std::vector<WorkloadMix>(mixes.begin(), mixes.end());
-}
-
-std::vector<std::string> SplitOn(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream in(text);
-  while (std::getline(in, part, sep)) {
-    parts.push_back(part);
-  }
-  return parts;
 }
 
 }  // namespace
@@ -133,181 +121,85 @@ SweepSpec RtSpec() {
   return spec;
 }
 
-bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error) {
-  if (text.empty()) {
-    *error = "empty sweep spec";
-    return false;
-  }
-  const std::vector<std::string> tokens = SplitOn(text, ';');
-  size_t first_override = 0;
-  if (tokens[0].find('=') == std::string::npos) {
-    const std::string& preset = tokens[0];
-    if (preset == "fig5") {
-      *spec = Fig5Spec();
-    } else if (preset == "table3") {
-      *spec = Table3Spec();
-    } else if (preset == "future") {
-      *spec = FutureSpec();
-    } else if (preset == "smoke") {
-      *spec = SmokeSpec();
-    } else if (preset == "mq") {
-      *spec = MqSpec();
-    } else if (preset == "rt") {
-      *spec = RtSpec();
-    } else {
-      *error = "unknown sweep preset '" + preset + "'";
-      return false;
-    }
-    first_override = 1;
-  } else {
-    *spec = Fig5Spec();  // custom specs start from the full grid
-    spec->name = "custom";
-  }
-  if (first_override < tokens.size()) {
-    spec->name = text;  // overrides applied: record full provenance
-  }
+namespace {
 
-  for (size_t i = first_override; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    if (token.empty()) {
-      continue;
-    }
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      *error = "expected key=value, got '" + token + "'";
+// The closed grammar's own keys, then the shared ones.
+bool ApplySweepKey(SweepSpec* spec, const std::string& key, const std::string& value,
+                   std::string* error) {
+  if (key == "mixes") {
+    return ReadSpecList(
+        key, value,
+        [&key](const std::string& number, WorkloadMix* mix, std::string* item_error) {
+          size_t n = 0;
+          if (!ReadSpecNumber(key, number, &n, item_error)) {
+            return false;
+          }
+          if (n < 1 || n > 6) {
+            return SpecError(item_error, "mix number '" + number + "' out of range 1-6");
+          }
+          *mix = PaperMixes()[n - 1];
+          return true;
+        },
+        &spec->mixes, error);
+  }
+  if (key == "reps") {
+    // N fixed, or MIN-MAX adaptive.
+    ReplicationOptions& reps = spec->replication;
+    const size_t dash = value.find('-');
+    const std::string min = value.substr(0, dash);
+    const std::string max = dash == std::string::npos ? min : value.substr(dash + 1);
+    if (!ReadSpecNumber(key, min, &reps.min_replications, error) ||
+        !ReadSpecNumber(key, max, &reps.max_replications, error)) {
       return false;
     }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "policies") {
-      spec->policies.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
-        PolicyKind kind;
-        if (!PolicyKindFromName(name, &kind)) {
-          *error = "unknown policy '" + name + "'";
-          return false;
-        }
-        spec->policies.push_back(kind);
-      }
-    } else if (key == "mixes") {
-      spec->mixes.clear();
-      for (const std::string& number : SplitOn(value, ',')) {
-        const int n = std::atoi(number.c_str());
-        if (n < 1 || n > 6) {
-          *error = "mix number '" + number + "' out of range 1-6";
-          return false;
-        }
-        spec->mixes.push_back(PaperMixes()[static_cast<size_t>(n - 1)]);
-      }
-    } else if (key == "reps") {
-      const size_t dash = value.find('-');
-      if (dash == std::string::npos) {
-        const int n = std::atoi(value.c_str());
-        if (n < 1) {
-          *error = "reps must be >= 1";
-          return false;
-        }
-        spec->replication.min_replications = static_cast<size_t>(n);
-        spec->replication.max_replications = static_cast<size_t>(n);
-      } else {
-        const int lo = std::atoi(value.substr(0, dash).c_str());
-        const int hi = std::atoi(value.substr(dash + 1).c_str());
-        if (lo < 1 || hi < lo) {
-          *error = "bad reps range '" + value + "'";
-          return false;
-        }
-        spec->replication.min_replications = static_cast<size_t>(lo);
-        spec->replication.max_replications = static_cast<size_t>(hi);
-      }
-    } else if (key == "precision") {
-      spec->replication.relative_precision = std::atof(value.c_str());
-    } else if (key == "seed") {
-      spec->root_seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "procs") {
-      const int n = std::atoi(value.c_str());
-      if (n < 1) {
-        *error = "procs must be >= 1";
-        return false;
-      }
-      spec->machine.num_processors = static_cast<size_t>(n);
-    } else if (key == "speed") {
-      spec->machine.processor_speed = std::atof(value.c_str());
-    } else if (key == "cache") {
-      spec->machine.cache_size_factor = std::atof(value.c_str());
-    } else if (key == "observability") {
-      if (value == "1" || value == "true" || value == "on") {
-        spec->observability = true;
-      } else if (value == "0" || value == "false" || value == "off") {
-        spec->observability = false;
-      } else {
-        *error = "observability must be 0 or 1, got '" + value + "'";
-        return false;
-      }
-    } else if (key == "steal") {
-      // steal=nosteal,cluster,... — sugar for the multi-queue policy family:
-      // replaces the policy list with the mq-* kind for each steal radius.
-      spec->policies.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
-        PolicyKind kind;
-        if (!PolicyKindFromStealName(name, &kind)) {
-          *error = "unknown steal policy '" + name + "'";
-          return false;
-        }
-        spec->policies.push_back(kind);
-      }
-    } else if (key == "balance-interval" || key == "balance_interval") {
-      const double ms = std::atof(value.c_str());
-      if (ms < 0) {
-        *error = "balance interval must be >= 0 ms";
-        return false;
-      }
-      spec->engine.balance_interval = Milliseconds(ms);
-    } else if (key == "colors") {
-      const int n = std::atoi(value.c_str());
-      if (n < 0 || n > 64) {
-        *error = "colors must be in 0..64 (0 = footprint model)";
-        return false;
-      }
-      spec->machine.num_colors = static_cast<size_t>(n);
-      spec->machine.cache_model =
-          n > 0 ? CacheModelKind::kPartitioned : CacheModelKind::kFootprint;
-    } else if (key == "rt") {
-      if (value == "1" || value == "true" || value == "on") {
-        spec->rt = true;
-      } else if (value == "0" || value == "false" || value == "off") {
-        spec->rt = false;
-      } else {
-        *error = "rt must be 0 or 1, got '" + value + "'";
-        return false;
-      }
-    } else if (key == "deadline-mix" || key == "deadline_mix") {
-      if (!IsDeadlineMix(value)) {
-        *error = "unknown deadline mix '" + value + "' (expected soft|hard|mixed|tight)";
-        return false;
-      }
-      spec->deadline_mix = value;
-    } else if (key == "topology") {
-      // topology=preset or topology=preset,key=value,... (comma-separated;
-      // see src/topology). Cell seeds do not depend on the topology, so
-      // hierarchical cells share common random numbers with flat ones.
-      if (!ParseTopologySpec(value, &spec->machine.topology, error)) {
-        return false;
-      }
-    } else {
-      *error = "unknown sweep spec key '" + key + "'";
+    return (reps.min_replications >= 1 && reps.max_replications >= reps.min_replications) ||
+           SpecError(error, "bad reps '" + value + "' (N >= 1, or MIN-MAX with 1 <= MIN <= MAX)");
+  }
+  if (key == "precision") {
+    return ReadSpecNumber(key, value, &spec->replication.relative_precision, error);
+  }
+  if (key == "observability") {
+    return ReadSpecBool(key, value, &spec->observability, error);
+  }
+  if (key == "balance-interval" || key == "balance_interval") {
+    double ms = 0.0;
+    if (!ReadSpecNumber(key, value, &ms, error)) {
       return false;
     }
+    if (ms < 0.0) {
+      return SpecError(error, "balance interval must be >= 0 ms");
+    }
+    spec->engine.balance_interval = Milliseconds(ms);
+    return true;
   }
-  if (spec->policies.empty() || spec->mixes.empty()) {
-    *error = "sweep spec needs at least one policy and one mix";
+  return ApplyGridKey(key, value, "sweep", spec, error);
+}
+
+bool LoadSweepPreset(SweepSpec* spec, const std::string& preset) {
+  // A spec without a preset starts from the full fig5 grid.
+  const std::pair<const char*, SweepSpec (*)()> presets[] = {
+      {"", Fig5Spec},         {"fig5", Fig5Spec},   {"table3", Table3Spec},
+      {"future", FutureSpec}, {"smoke", SmokeSpec}, {"mq", MqSpec},
+      {"rt", RtSpec}};
+  for (const auto& [name, make] : presets) {
+    if (preset == name) {
+      *spec = make();
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error) {
+  if (!ParseSpec(text, ';', "sweep", std::bind_front(LoadSweepPreset, spec),
+                 std::bind_front(ApplySweepKey, spec), error)) {
     return false;
   }
-  const std::string machine_problem = spec->machine.Validate();
-  if (!machine_problem.empty()) {
-    *error = machine_problem;
-    return false;
-  }
-  return true;
+  spec->name = text;
+  *error = spec->machine.Validate();
+  return error->empty();
 }
 
 const ExperimentResult* SweepResult::Find(PolicyKind policy, int mix_number) const {
@@ -371,22 +263,8 @@ std::string SweepResult::ToJson() const {
   o << "{\"schema_version\":" << ((spec.observability || spec.rt) ? 3 : 1)
     << ",\"tool\":\"sweep_runner\"";
 
-  o << ",\"spec\":{\"name\":\"" << JsonEscape(spec.name) << "\""
-    << ",\"root_seed\":" << spec.root_seed << ",\"machine\":{\"procs\":"
-    << spec.machine.num_processors << ",\"speed\":" << JsonNumber(spec.machine.processor_speed)
-    << ",\"cache\":" << JsonNumber(spec.machine.cache_size_factor);
-  if (spec.machine.cache_model == CacheModelKind::kPartitioned) {
-    o << ",\"colors\":" << spec.machine.num_colors;
-  }
-  if (!spec.machine.topology.IsFlat()) {
-    o << ",\"topology\":\"" << JsonEscape(spec.machine.topology.ToSpecString()) << "\"";
-  }
-  o << "}";
-  o << ",\"policies\":[";
-  for (size_t i = 0; i < spec.policies.size(); ++i) {
-    o << (i > 0 ? "," : "") << "\"" << PolicyKindCliName(spec.policies[i]) << "\"";
-  }
-  o << "],\"mixes\":[";
+  AppendGridSpecJsonHead(spec, o);
+  o << ",\"mixes\":[";
   for (size_t i = 0; i < spec.mixes.size(); ++i) {
     o << (i > 0 ? "," : "") << spec.mixes[i].number;
   }
@@ -394,10 +272,7 @@ std::string SweepResult::ToJson() const {
     << ",\"max\":" << spec.replication.max_replications
     << ",\"precision\":" << JsonNumber(spec.replication.relative_precision)
     << ",\"confidence\":" << JsonNumber(spec.replication.confidence) << "}";
-  if (spec.rt) {
-    o << ",\"rt\":true,\"deadline_mix\":\"" << JsonEscape(spec.deadline_mix) << "\"";
-  }
-  o << "}";
+  AppendGridSpecJsonTail(spec, o);
 
   const bool tiered = !spec.machine.topology.IsFlat();
   bool mq = false;
@@ -564,12 +439,7 @@ std::string SweepResult::ToJson() const {
 }
 
 bool SweepResult::WriteJsonFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.is_open()) {
-    return false;
-  }
-  out << ToJson() << "\n";
-  return out.good();
+  return Sampler::WriteFile(path, ToJson() + "\n");
 }
 
 }  // namespace affsched

@@ -15,6 +15,10 @@
 //      "reload_transient_fraction": ..., "affine_fraction": ...,
 //      "migrations": {"same_core": ..., "same_cluster": ...,
 //                     "same_node": ..., "cross_node": ...}}]}
+// With GridSpec::rt the document is also schema_version 3: mean_stats gain
+// per-job deadline, tardiness and worst-reload fields, and a top-level "rt"
+// block holds the deadline-miss rate, tardiness percentiles and
+// worst-case-observed reload per experiment.
 //
 // JSON schema (schema_version 1), field order fixed:
 //   {
@@ -54,35 +58,20 @@
 
 #include "src/measure/experiment.h"
 #include "src/measure/mixes.h"
-#include "src/sched/factory.h"
+#include "src/runner/grid_spec.h"
 
 namespace affsched {
 
-struct SweepSpec {
-  std::string name = "custom";
-  MachineConfig machine;
-  // Application set the mixes index into ({MVA, MATRIX, GRAVITY} order).
-  std::vector<AppProfile> apps;
-  std::vector<PolicyKind> policies;
-  std::vector<WorkloadMix> mixes;
+struct SweepSpec : GridSpec {
+  std::vector<WorkloadMix> mixes;  // Table 2 mixes, indexing into `apps`
   ReplicationOptions replication;
   EngineOptions engine;
-  uint64_t root_seed = 1000;
   // Opt-in schema-v3 "observability" block in ToJson(): per-experiment
   // affinity-efficiency derivations (reload-transient fraction, affine
   // fraction, the per-tier migration matrix). Off by default so the default
   // document stays byte-identical to schema_version 1 (pinned by
   // tests/golden/). Spec key: observability=1.
   bool observability = false;
-  // Real-time mode: stamp the deadline mix onto every expanded job list
-  // before simulating, add per-job deadline/tardiness/worst-reload fields to
-  // mean_stats, and emit a schema-v3 top-level "rt" block (deadline-miss
-  // rate, tardiness percentiles, worst-case-observed reload per experiment).
-  // Off by default so non-rt documents stay byte-identical. Spec keys: rt=1,
-  // deadline-mix=soft|hard|mixed|tight (colors=N selects the partitioned
-  // cache substrate independently).
-  bool rt = false;
-  std::string deadline_mix = "soft";
 
   // Total cells at the minimum replication count (scheduling lower bound).
   size_t MinCells() const;
@@ -105,18 +94,13 @@ SweepSpec MqSpec();
 SweepSpec RtSpec();
 
 // Parses a sweep spec string: either a preset name ("fig5", "table3",
-// "future", "smoke", "mq", "rt"), a "key=value;key=value" list, or a preset
-// followed by overrides ("fig5;reps=2;procs=8"). Keys: policies
-// (comma-separated CLI names), mixes (comma-separated Table 2 numbers), reps
-// (N fixed or MIN-MAX adaptive), precision, seed, procs, speed, cache,
-// topology, observability (0/1 — schema-v3 affinity-efficiency block), steal
-// (comma-separated steal radii — nosteal/sibling/cluster/numa — sugar that
-// replaces the policy list with the matching mq-* kinds), balance-interval
-// (milliseconds between load-balance ticks, overriding the policy default),
-// colors (N >= 1 selects the partitioned cache model with N page colors; 0
-// restores the footprint model), rt (0/1 — deadline accounting + "rt"
-// block), deadline-mix (soft|hard|mixed|tight).
-// Returns false and sets `error` on malformed input.
+// "future", "smoke", "mq", "rt"), a "key=value;key=value" list (starting from
+// the fig5 grid), or a preset followed by overrides ("fig5;reps=2;procs=8").
+// Keys: the shared grid keys (src/runner/grid_spec.h), plus mixes
+// (comma-separated Table 2 numbers), reps (N fixed or MIN-MAX adaptive),
+// precision, observability (0/1 — schema-v3 affinity-efficiency block) and
+// balance-interval (milliseconds between load-balance ticks, overriding the
+// policy default). Returns false and sets `error` on malformed input.
 bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error);
 
 // One executed cell: a whole simulation at a derived seed.

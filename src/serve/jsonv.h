@@ -1,9 +1,9 @@
-// A minimal JSON document parser for the serve layer.
+// A minimal JSON document parser: the repository's one strict JSON reader.
 //
 // The telemetry layer's json.h is a writer's toolkit (escaping, number
-// formatting, a validity checker); the serve layer additionally needs to
-// *read* JSON: wire-protocol requests off the daemon socket, cached cell
-// entries, and spool task files. This is a strict, dependency-free
+// formatting); the serve layer additionally needs to *read* JSON:
+// wire-protocol requests off the daemon socket, cached cell entries, and
+// spool task files. Tests use it to check exporter output too. This is a strict, dependency-free
 // recursive-descent parser into a small DOM. Strictness matters for the
 // cache: a truncated entry (the process was SIGKILLed mid-write, the disk
 // filled up) must fail to parse so the probe treats it as a miss and the

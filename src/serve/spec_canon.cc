@@ -29,9 +29,10 @@ std::string HashHex(uint64_t value) {
 
 namespace {
 
-// The machine and engine fields a sweep spec can address (ParseSweepSpec's
-// keys). Everything else in MachineConfig/EngineOptions is a build-time
-// default, covered for cells by the git revision in the key.
+// The machine and engine fields a sweep spec can address (the shared grid
+// keys in src/runner/grid_spec.h, plus balance-interval). Everything else in
+// MachineConfig/EngineOptions is a build-time default, covered for cells by
+// the git revision in the key.
 void AppendMachineCanon(const SweepSpec& spec, std::ostringstream& o) {
   o << "procs=" << spec.machine.num_processors
     << ";speed=" << JsonNumber(spec.machine.processor_speed)

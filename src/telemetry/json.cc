@@ -1,9 +1,7 @@
 #include "src/telemetry/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 namespace affsched {
 
@@ -53,198 +51,5 @@ std::string JsonNumber(double value) {
   }
   return buf;
 }
-
-namespace {
-
-// Recursive-descent validity check. `p` advances past the parsed value;
-// returns false on any syntax error. Depth-capped to bound recursion.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text.c_str()), end_(s_ + text.size()) {}
-
-  bool CheckDocument() {
-    SkipWs();
-    if (!CheckValue(0)) {
-      return false;
-    }
-    SkipWs();
-    return s_ == end_;
-  }
-
- private:
-  static constexpr int kMaxDepth = 200;
-
-  void SkipWs() {
-    while (s_ < end_ && (*s_ == ' ' || *s_ == '\t' || *s_ == '\n' || *s_ == '\r')) {
-      ++s_;
-    }
-  }
-
-  bool Literal(const char* lit) {
-    const size_t n = std::strlen(lit);
-    if (static_cast<size_t>(end_ - s_) < n || std::strncmp(s_, lit, n) != 0) {
-      return false;
-    }
-    s_ += n;
-    return true;
-  }
-
-  bool CheckString() {
-    if (s_ >= end_ || *s_ != '"') {
-      return false;
-    }
-    ++s_;
-    while (s_ < end_) {
-      const unsigned char c = static_cast<unsigned char>(*s_);
-      if (c == '"') {
-        ++s_;
-        return true;
-      }
-      if (c < 0x20) {
-        return false;  // raw control character
-      }
-      if (c == '\\') {
-        ++s_;
-        if (s_ >= end_) {
-          return false;
-        }
-        const char e = *s_;
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++s_;
-            if (s_ >= end_ || !std::isxdigit(static_cast<unsigned char>(*s_))) {
-              return false;
-            }
-          }
-        } else if (std::strchr("\"\\/bfnrt", e) == nullptr) {
-          return false;
-        }
-      }
-      ++s_;
-    }
-    return false;  // unterminated
-  }
-
-  bool CheckNumber() {
-    const char* start = s_;
-    if (s_ < end_ && *s_ == '-') {
-      ++s_;
-    }
-    if (s_ >= end_ || !std::isdigit(static_cast<unsigned char>(*s_))) {
-      return false;
-    }
-    if (*s_ == '0') {
-      ++s_;
-    } else {
-      while (s_ < end_ && std::isdigit(static_cast<unsigned char>(*s_))) {
-        ++s_;
-      }
-    }
-    if (s_ < end_ && *s_ == '.') {
-      ++s_;
-      if (s_ >= end_ || !std::isdigit(static_cast<unsigned char>(*s_))) {
-        return false;
-      }
-      while (s_ < end_ && std::isdigit(static_cast<unsigned char>(*s_))) {
-        ++s_;
-      }
-    }
-    if (s_ < end_ && (*s_ == 'e' || *s_ == 'E')) {
-      ++s_;
-      if (s_ < end_ && (*s_ == '+' || *s_ == '-')) {
-        ++s_;
-      }
-      if (s_ >= end_ || !std::isdigit(static_cast<unsigned char>(*s_))) {
-        return false;
-      }
-      while (s_ < end_ && std::isdigit(static_cast<unsigned char>(*s_))) {
-        ++s_;
-      }
-    }
-    return s_ > start;
-  }
-
-  bool CheckValue(int depth) {
-    if (depth > kMaxDepth || s_ >= end_) {
-      return false;
-    }
-    switch (*s_) {
-      case '{': {
-        ++s_;
-        SkipWs();
-        if (s_ < end_ && *s_ == '}') {
-          ++s_;
-          return true;
-        }
-        while (true) {
-          SkipWs();
-          if (!CheckString()) {
-            return false;
-          }
-          SkipWs();
-          if (s_ >= end_ || *s_ != ':') {
-            return false;
-          }
-          ++s_;
-          SkipWs();
-          if (!CheckValue(depth + 1)) {
-            return false;
-          }
-          SkipWs();
-          if (s_ < end_ && *s_ == ',') {
-            ++s_;
-            continue;
-          }
-          if (s_ < end_ && *s_ == '}') {
-            ++s_;
-            return true;
-          }
-          return false;
-        }
-      }
-      case '[': {
-        ++s_;
-        SkipWs();
-        if (s_ < end_ && *s_ == ']') {
-          ++s_;
-          return true;
-        }
-        while (true) {
-          SkipWs();
-          if (!CheckValue(depth + 1)) {
-            return false;
-          }
-          SkipWs();
-          if (s_ < end_ && *s_ == ',') {
-            ++s_;
-            continue;
-          }
-          if (s_ < end_ && *s_ == ']') {
-            ++s_;
-            return true;
-          }
-          return false;
-        }
-      }
-      case '"':
-        return CheckString();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return CheckNumber();
-    }
-  }
-
-  const char* s_;
-  const char* end_;
-};
-
-}  // namespace
-
-bool IsValidJson(const std::string& text) { return JsonChecker(text).CheckDocument(); }
 
 }  // namespace affsched

@@ -1,8 +1,7 @@
-// Minimal JSON utilities for the telemetry exporters: string escaping, number
-// formatting that always yields valid JSON (no "nan"/"inf" literals), and a
-// dependency-free validity checker used by tests and by the exporters' own
-// self-checks. This is a writer's toolkit, not a parser — nothing here builds
-// a DOM.
+// Minimal JSON utilities for the telemetry exporters: string escaping and
+// number formatting that always yields valid JSON (no "nan"/"inf" literals).
+// This is a writer's toolkit; the strict reader is ParseJson in
+// src/serve/jsonv.h.
 
 #ifndef SRC_TELEMETRY_JSON_H_
 #define SRC_TELEMETRY_JSON_H_
@@ -18,10 +17,6 @@ std::string JsonEscape(const std::string& s);
 // represent) become null. Integral values print without a fraction so counter
 // totals stay exactly comparable across runs.
 std::string JsonNumber(double value);
-
-// True if `text` is one complete, syntactically valid JSON value (object,
-// array, string, number, true/false/null) with no trailing garbage.
-bool IsValidJson(const std::string& text);
 
 }  // namespace affsched
 

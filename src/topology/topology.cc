@@ -1,10 +1,11 @@
 #include "src/topology/topology.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <functional>
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/common/spec_grammar.h"
 #include "src/common/table.h"
 
 namespace affsched {
@@ -32,7 +33,8 @@ double TopologySpec::LlcCapacityBlocks(size_t line_bytes) const {
 
 namespace {
 
-// Doubles print with enough digits that std::atof round-trips them exactly.
+// Doubles print with enough digits that ParseTopologySpec reads them back
+// exactly.
 std::string FormatExact(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
@@ -74,10 +76,10 @@ std::string TopologySpec::Validate(size_t num_processors) const {
       return "LLC capacity is smaller than one LLC line (zero-capacity level)";
     }
   }
-  if (llc_hit_factor <= 0.0 || llc_hit_factor > 1.0) {
+  if (!(llc_hit_factor > 0.0 && llc_hit_factor <= 1.0)) {
     return "llc-factor must be in (0, 1]: an LLC hit costs a fraction of a memory fill";
   }
-  if (remote_multiplier < 1.0) {
+  if (!(remote_multiplier >= 1.0)) {
     return "remote must be >= 1: a remote fill cannot be cheaper than a local one";
   }
   return "";
@@ -125,62 +127,52 @@ bool TopologyPresetFromName(const std::string& name, TopologySpec* spec) {
   return false;
 }
 
-bool ParseTopologySpec(const std::string& text, TopologySpec* spec, std::string* error) {
-  if (text.empty()) {
-    *error = "empty topology spec";
-    return false;
-  }
-  std::vector<std::string> tokens;
-  std::string token;
-  std::istringstream in(text);
-  while (std::getline(in, token, ',')) {
-    tokens.push_back(token);
-  }
-  size_t first_override = 0;
-  if (tokens[0].find('=') == std::string::npos) {
-    if (!TopologyPresetFromName(tokens[0], spec)) {
-      *error = "unknown topology preset '" + tokens[0] + "'";
-      return false;
-    }
-    first_override = 1;
-  } else {
+namespace {
+
+bool LoadTopologyPreset(TopologySpec* spec, const std::string& preset) {
+  if (preset.empty()) {
     *spec = SymmetryFlatTopology();
     spec->name = "custom";
+    return true;
   }
+  return TopologyPresetFromName(preset, spec);
+}
 
-  for (size_t i = first_override; i < tokens.size(); ++i) {
-    if (tokens[i].empty()) {
-      continue;
-    }
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      *error = "expected key=value, got '" + tokens[i] + "'";
-      return false;
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    if (key == "name") {
-      spec->name = value;
-    } else if (key == "cores-per-cluster") {
-      spec->cores_per_cluster = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "clusters-per-node") {
-      spec->clusters_per_node = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "llc-kb") {
-      spec->llc_kb = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "llc-line") {
-      spec->llc_line_bytes = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "llc-ways") {
-      spec->llc_ways = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "llc-factor") {
-      spec->llc_hit_factor = std::atof(value.c_str());
-    } else if (key == "remote") {
-      spec->remote_multiplier = std::atof(value.c_str());
-    } else {
-      *error = "unknown topology spec key '" + key + "'";
-      return false;
-    }
+bool ApplyTopologyKey(TopologySpec* spec, const std::string& key, const std::string& value,
+                      std::string* error) {
+  if (key == "name") {
+    spec->name = value;
+    return true;
   }
-  return true;
+  if (key == "cores-per-cluster") {
+    return ReadSpecNumber(key, value, &spec->cores_per_cluster, error);
+  }
+  if (key == "clusters-per-node") {
+    return ReadSpecNumber(key, value, &spec->clusters_per_node, error);
+  }
+  if (key == "llc-kb") {
+    return ReadSpecNumber(key, value, &spec->llc_kb, error);
+  }
+  if (key == "llc-line") {
+    return ReadSpecNumber(key, value, &spec->llc_line_bytes, error);
+  }
+  if (key == "llc-ways") {
+    return ReadSpecNumber(key, value, &spec->llc_ways, error);
+  }
+  if (key == "llc-factor") {
+    return ReadSpecNumber(key, value, &spec->llc_hit_factor, error);
+  }
+  if (key == "remote") {
+    return ReadSpecNumber(key, value, &spec->remote_multiplier, error);
+  }
+  return SpecError(error, "unknown topology spec key '" + key + "'");
+}
+
+}  // namespace
+
+bool ParseTopologySpec(const std::string& text, TopologySpec* spec, std::string* error) {
+  return ParseSpec(text, ',', "topology", std::bind_front(LoadTopologyPreset, spec),
+                   std::bind_front(ApplyTopologyKey, spec), error);
 }
 
 std::string RenderTopologyList() {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "src/machine/machine.h"
@@ -37,6 +38,10 @@ TEST(MachineValidateTest, ZeroCapacityCacheLevelsAreRejected) {
   config = MachineConfig{};
   config.cache_size_factor = 0.0;
   EXPECT_FALSE(config.Validate().empty());
+
+  config = MachineConfig{};
+  config.cache_size_factor = std::nan("");
+  EXPECT_FALSE(config.Validate().empty());
 }
 
 TEST(MachineValidateTest, NonPositiveSpeedIsRejected) {
@@ -44,6 +49,8 @@ TEST(MachineValidateTest, NonPositiveSpeedIsRejected) {
   config.processor_speed = 0.0;
   EXPECT_FALSE(config.Validate().empty());
   config.processor_speed = -1.0;
+  EXPECT_FALSE(config.Validate().empty());
+  config.processor_speed = std::nan("");
   EXPECT_FALSE(config.Validate().empty());
 }
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/telemetry/json.h"
+#include "tests/serve/json_testing.h"
 
 namespace affsched {
 namespace {
@@ -68,16 +68,21 @@ TEST(OpenSweepSpecTest, TopologyKeyParsesAndValidates) {
 }
 
 TEST(OpenSweepSpecTest, MalformedSpecsRejected) {
-  OpenSweepSpec spec;
-  std::string error;
-  EXPECT_FALSE(ParseOpenSweepSpec("", &spec, &error));
-  EXPECT_FALSE(ParseOpenSweepSpec("nosuch", &spec, &error));
-  EXPECT_FALSE(ParseOpenSweepSpec("opensys;bogus=1", &spec, &error));
-  EXPECT_FALSE(ParseOpenSweepSpec("opensys;rhos=0", &spec, &error));
-  EXPECT_FALSE(ParseOpenSweepSpec("opensys;rhos=2.0", &spec, &error));
-  EXPECT_FALSE(ParseOpenSweepSpec("opensys;arrivals=weird", &spec, &error));
-  EXPECT_FALSE(ParseOpenSweepSpec("opensys;warmup=1.5", &spec, &error));
-  EXPECT_FALSE(ParseOpenSweepSpec("opensys;policies=", &spec, &error));
+  for (const char* text :
+       {"", "nosuch", "opensys;bogus=1", "opensys;rhos=0", "opensys;rhos=2.0",
+        "opensys;arrivals=weird", "opensys;warmup=1.5", "opensys;policies=",
+        "opensys-smoke;rhos=nan", "opensys-smoke;rhos=0.0004",
+        "opensys-smoke;burst=nan;arrivals=onoff",
+        "opensys-smoke;rhos=0.5,", "opensys-smoke;policies=equi,", "opensys-smoke;speed=nan",
+        "opensys-smoke;cache=nan", "opensys-smoke;topology=numa-4x8,remote=nan",
+        "opensys-smoke;seed=abc", "opensys-smoke;procs=8x", "opensys-smoke;colors=abc",
+        "opensys-smoke;count=12x", "opensys-smoke;reps=0", "opensys-smoke;mpl-cap=-1",
+        "opensys-smoke;max-queue=1.5", "opensys-smoke;warmup=nan", "opensys-smoke;burst=1"}) {
+    OpenSweepSpec spec;
+    std::string error;
+    EXPECT_FALSE(ParseOpenSweepSpec(text, &spec, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
 }
 
 TEST(OpenSweepSpecTest, ArrivalKindNamesRoundTrip) {
@@ -117,7 +122,7 @@ TEST(OpenSweepRunnerTest, JsonByteIdenticalAtAnyWorkerCount) {
 TEST(OpenSweepRunnerTest, EmitsSchemaV2OpenMode) {
   const OpenSweepResult result = OpenSweepRunner().Run(TinySpec());
   const std::string json = result.ToJson();
-  EXPECT_TRUE(IsValidJson(json));
+  EXPECT_TRUE(ParsesAsJson(json));
   EXPECT_NE(json.find("\"schema_version\":2"), std::string::npos);
   EXPECT_NE(json.find("\"mode\":\"open\""), std::string::npos);
   EXPECT_NE(json.find("\"p99_sojourn_s\""), std::string::npos);

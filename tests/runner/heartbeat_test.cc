@@ -9,7 +9,7 @@
 
 #include "src/apps/apps.h"
 #include "src/runner/runner.h"
-#include "src/telemetry/json.h"
+#include "tests/serve/json_testing.h"
 
 namespace affsched {
 namespace {
@@ -62,7 +62,7 @@ TEST(HeartbeatWriterTest, EmitsOneValidJsonLinePerEvent) {
   const auto lines = ReadLines(path);
   ASSERT_EQ(lines.size(), 4u);
   for (const std::string& line : lines) {
-    EXPECT_TRUE(IsValidJson(line)) << line;
+    EXPECT_TRUE(ParsesAsJson(line)) << line;
   }
   EXPECT_NE(lines[0].find("\"kind\":\"start\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"seq\":0"), std::string::npos);

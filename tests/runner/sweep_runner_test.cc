@@ -10,7 +10,7 @@
 
 #include "src/apps/apps.h"
 #include "src/runner/cell_seed.h"
-#include "src/telemetry/json.h"
+#include "tests/serve/json_testing.h"
 
 namespace affsched {
 namespace {
@@ -59,7 +59,7 @@ TEST(SweepRunnerTest, ParallelAndSerialJsonAreByteIdentical) {
   const SweepResult b = SweepRunner(parallel).Run(TinySpec());
   const std::string ja = a.ToJson();
   const std::string jb = b.ToJson();
-  EXPECT_TRUE(IsValidJson(ja));
+  EXPECT_TRUE(ParsesAsJson(ja));
   EXPECT_EQ(ja, jb);  // bit-identical results at any worker count
 }
 
@@ -130,7 +130,7 @@ TEST(SweepRunnerTest, RecordCellsFalseKeepsAggregatesOnly) {
     EXPECT_TRUE(experiment.cells.empty());
     EXPECT_EQ(experiment.replicated.replications, 2u);
   }
-  EXPECT_TRUE(IsValidJson(result.ToJson()));
+  EXPECT_TRUE(ParsesAsJson(result.ToJson()));
 }
 
 TEST(SweepRunnerTest, ThrowingCellPropagatesAfterCleanShutdown) {
@@ -168,7 +168,7 @@ TEST(SweepRunnerTest, ProgressReportsMonotonicCompletion) {
 TEST(SweepRunnerTest, JsonCarriesSchemaAndRatios) {
   const SweepResult result = SweepRunner().Run(TinySpec());
   const std::string json = result.ToJson();
-  EXPECT_TRUE(IsValidJson(json));
+  EXPECT_TRUE(ParsesAsJson(json));
   EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
   EXPECT_NE(json.find("\"relative_response\":["), std::string::npos);  // equi in grid
   EXPECT_NE(json.find("\"policy\":\"dyn-aff\""), std::string::npos);
@@ -178,7 +178,7 @@ TEST(SweepRunnerTest, ObservabilityOptInEmitsSchema3Block) {
   SweepSpec spec = TinySpec();
   spec.observability = true;
   const std::string json = SweepRunner().Run(spec).ToJson();
-  EXPECT_TRUE(IsValidJson(json));
+  EXPECT_TRUE(ParsesAsJson(json));
   EXPECT_NE(json.find("\"schema_version\":3"), std::string::npos);
   EXPECT_NE(json.find("\"observability\":{"), std::string::npos);
   EXPECT_NE(json.find("\"reload_transient_fraction\""), std::string::npos);

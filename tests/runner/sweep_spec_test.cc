@@ -74,16 +74,22 @@ TEST(SweepSpecTest, SixtyFourBitSeedsParseExactly) {
 }
 
 TEST(SweepSpecTest, RejectsMalformedSpecs) {
-  SweepSpec spec;
-  std::string error;
-  EXPECT_FALSE(ParseSweepSpec("", &spec, &error));
-  EXPECT_FALSE(ParseSweepSpec("nonsense", &spec, &error));
-  EXPECT_FALSE(ParseSweepSpec("policies=warp-drive", &spec, &error));
-  EXPECT_FALSE(ParseSweepSpec("mixes=7", &spec, &error));
-  EXPECT_FALSE(ParseSweepSpec("reps=0", &spec, &error));
-  EXPECT_FALSE(ParseSweepSpec("reps=5-3", &spec, &error));
-  EXPECT_FALSE(ParseSweepSpec("smoke;frobnicate=1", &spec, &error));
-  EXPECT_FALSE(error.empty());
+  // Hostile values fail at parse time, with a message, instead of reaching
+  // the engine: numbers span their whole token and are finite, and lists
+  // hold no empty items.
+  for (const char* text :
+       {"", "nonsense", "policies=warp-drive", "mixes=7", "reps=0", "reps=5-3",
+        "smoke;frobnicate=1", "smoke;speed=nan", "smoke;cache=nan", "smoke;speed=inf",
+        "smoke;topology=numa-4x8,remote=nan", "smoke;topology=numa-4x8,llc-kb=-1",
+        "smoke;seed=abc", "smoke;seed=-1", "smoke;seed=18446744073709551616", "smoke;procs=8x",
+        "smoke;colors=abc", "smoke;colors=65", "smoke;policies=equi,", "smoke;mixes=1,",
+        "smoke;steal=,numa", "smoke;reps=2-", "smoke;reps=1.5", "smoke;precision=nan",
+        "smoke;balance-interval=nan", "smoke;balance-interval=-5", "smoke;rt=2"}) {
+    SweepSpec spec;
+    std::string error;
+    EXPECT_FALSE(ParseSweepSpec(text, &spec, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
 }
 
 TEST(SweepSpecTest, ObservabilityKeyParsesAndDefaultsOff) {

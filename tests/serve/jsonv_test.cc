@@ -46,6 +46,9 @@ TEST(JsonvTest, ParsesContainersAndLookup) {
   EXPECT_EQ(xs->array[2].AsInt64(), 3);
   EXPECT_EQ(doc.Get("dup")->AsInt64(), 2);  // duplicates keep the last
   EXPECT_EQ(doc.Get("absent"), nullptr);
+  EXPECT_TRUE(MustParse("{}").IsObject());
+  EXPECT_EQ(MustParse("[1, 2.5, \"x\", true, null]").array.size(), 5u);
+  EXPECT_TRUE(MustParse("{\"a\": {\"b\": [1]}}").Get("a")->Get("b")->IsArray());
 }
 
 TEST(JsonvTest, RejectsMalformedAndTruncatedInput) {
@@ -60,6 +63,7 @@ TEST(JsonvTest, RejectsMalformedAndTruncatedInput) {
   EXPECT_TRUE(Fails("12."));
   // Outright garbage and trailing garbage.
   EXPECT_TRUE(Fails("nul"));
+  EXPECT_TRUE(Fails("nan"));
   EXPECT_TRUE(Fails("{} trailing"));
   EXPECT_TRUE(Fails("{\"a\" 1}"));
   EXPECT_TRUE(Fails("{'a':1}"));

@@ -10,7 +10,7 @@
 #include "src/apps/apps.h"
 #include "src/engine/engine.h"
 #include "src/sched/factory.h"
-#include "src/telemetry/json.h"
+#include "tests/serve/json_testing.h"
 
 namespace affsched {
 namespace {
@@ -64,13 +64,13 @@ TEST(ChromeTraceWriter, TinyFixtureMatchesGolden) {
 }
 
 TEST(ChromeTraceWriter, GoldenIsValidJson) {
-  EXPECT_TRUE(IsValidJson(kTinyFixtureGolden));
+  EXPECT_TRUE(ParsesAsJson(kTinyFixtureGolden));
 }
 
 TEST(ChromeTraceWriter, EmptyTraceIsValidJson) {
   ChromeTraceWriter writer;
   const std::string json = writer.ToJson(2, {});
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   // Metadata for processor tracks is still present.
   EXPECT_NE(json.find("\"processors\""), std::string::npos);
 }
@@ -90,7 +90,7 @@ TEST(ChromeTraceWriter, FullEngineRunProducesBalancedSpans) {
     names.push_back(engine.job_name(id));
   }
   const std::string json = writer.ToJson(machine.num_processors, names);
-  EXPECT_TRUE(IsValidJson(json)) << "chrome trace output is not valid JSON";
+  EXPECT_TRUE(ParsesAsJson(json)) << "chrome trace output is not valid JSON";
   // Every "B" needs a matching "E"; the writer closes dangling spans itself.
   EXPECT_EQ(CountOf(json, "\"ph\":\"B\""), CountOf(json, "\"ph\":\"E\""));
   // Both process groups and at least one span per kind of track exist.
@@ -136,7 +136,7 @@ TEST(ChromeTraceWriter, AttachedDecisionJoinsFlowToDispatch) {
   writer.AttachDecisions(&decisions);
 
   const std::string json = writer.ToJson(1, {"solo"});
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   // pid-3 scheduler process with a per-processor decide track.
   EXPECT_NE(json.find("\"scheduler\""), std::string::npos);
   EXPECT_NE(json.find("\"decide cpu0\""), std::string::npos);
@@ -175,7 +175,7 @@ TEST(ChromeTraceWriter, FullEngineRunWithProvenanceStaysBalanced) {
   writer.AttachLifecycles(&spans);
 
   const std::string json = writer.ToJson(machine.num_processors, names);
-  EXPECT_TRUE(IsValidJson(json)) << "provenance trace output is not valid JSON";
+  EXPECT_TRUE(ParsesAsJson(json)) << "provenance trace output is not valid JSON";
   // The extra layers must not disturb the span balance.
   EXPECT_EQ(CountOf(json, "\"ph\":\"B\""), CountOf(json, "\"ph\":\"E\""));
   // One decision slice and one flow start per record with a placed processor.

@@ -9,6 +9,7 @@
 
 #include "src/telemetry/json.h"
 #include "src/telemetry/profile.h"
+#include "tests/serve/json_testing.h"
 
 namespace affsched {
 namespace {
@@ -30,19 +31,7 @@ TEST(Json, NumberNeverEmitsNonFiniteLiterals) {
   EXPECT_EQ(JsonNumber(NAN), "null");
   EXPECT_EQ(JsonNumber(INFINITY), "null");
   EXPECT_EQ(JsonNumber(-INFINITY), "null");
-  EXPECT_TRUE(IsValidJson(JsonNumber(0.1)));
-}
-
-TEST(Json, ValidityChecker) {
-  EXPECT_TRUE(IsValidJson("{}"));
-  EXPECT_TRUE(IsValidJson("[1, 2.5, \"x\", true, null]"));
-  EXPECT_TRUE(IsValidJson("{\"a\": {\"b\": [1]}}"));
-  EXPECT_FALSE(IsValidJson(""));
-  EXPECT_FALSE(IsValidJson("{"));
-  EXPECT_FALSE(IsValidJson("{} extra"));
-  EXPECT_FALSE(IsValidJson("{'single': 1}"));
-  EXPECT_FALSE(IsValidJson("[1,]"));
-  EXPECT_FALSE(IsValidJson("nan"));
+  EXPECT_TRUE(ParsesAsJson(JsonNumber(0.1)));
 }
 
 TEST(Profiler, SectionsAccumulate) {
@@ -54,7 +43,7 @@ TEST(Profiler, SectionsAccumulate) {
   EXPECT_EQ(a->total_ns(), 400u);
   EXPECT_EQ(a->count(), 2u);
   EXPECT_DOUBLE_EQ(a->MeanNs(), 200.0);
-  EXPECT_TRUE(IsValidJson(profiler.ToJson()));
+  EXPECT_TRUE(ParsesAsJson(profiler.ToJson()));
   EXPECT_NE(profiler.Report().find("alpha"), std::string::npos);
 }
 
@@ -73,7 +62,7 @@ TEST(ScopedTimer, AccumulatesIntoSectionAndToleratesNull) {
 TEST(RunManifest, IncludesBuildMetadataAndIsValidJson) {
   RunManifest manifest;
   const std::string json = manifest.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"git_sha\""), std::string::npos);
   EXPECT_NE(json.find("\"build_type\""), std::string::npos);
   EXPECT_NE(json.find("\"compiler\""), std::string::npos);
@@ -92,7 +81,7 @@ TEST(RunManifest, MembersAndMetricsEmbed) {
   manifest.AddProfile(profiler);
 
   const std::string json = manifest.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"seed\":42"), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"profile\""), std::string::npos);
@@ -106,7 +95,7 @@ TEST(RunManifest, SetUintRoundTripsFull64BitRange) {
   const uint64_t seed = 9223372036854775815ull;  // 2^63 + 7
   manifest.SetUint("seed", seed);
   const std::string json = manifest.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"seed\":9223372036854775815"), std::string::npos) << json;
 }
 
@@ -115,7 +104,7 @@ TEST(RunManifest, SetProvenanceRecordsGitRevHostnameAndArgv) {
   const char* argv[] = {"simctl", "--mix=5", "--policy=dyn-aff"};
   manifest.SetProvenance(3, argv);
   const std::string json = manifest.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"git_rev\":\"" + std::string(RunManifest::GitSha()) + "\""),
             std::string::npos);
   // Hostname is host-specific but must be present and non-empty.
@@ -135,7 +124,7 @@ TEST(RunManifest, WriteFileProducesParseableFile) {
   std::ifstream in(path);
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_TRUE(IsValidJson(buffer.str()));
+  EXPECT_TRUE(ParsesAsJson(buffer.str()));
   std::remove(path.c_str());
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/telemetry/cache_metrics.h"
-#include "src/telemetry/json.h"
+#include "tests/serve/json_testing.h"
 
 namespace affsched {
 namespace {
@@ -135,14 +135,14 @@ TEST(MetricsRegistry, ToJsonIsValidJson) {
   FixedHistogram* h = registry.FindOrCreateHistogram("stall_us", DefaultLatencyBucketsUs());
   h->Observe(3.0);
   const std::string json = registry.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"engine.dispatches\""), std::string::npos);
   EXPECT_NE(json.find("\"stall_us.buckets\""), std::string::npos);
 }
 
 TEST(MetricsRegistry, EmptyRegistryStillRendersValidJson) {
   MetricsRegistry registry;
-  EXPECT_TRUE(IsValidJson(registry.ToJson()));
+  EXPECT_TRUE(ParsesAsJson(registry.ToJson()));
 }
 
 TEST(CacheMetrics, ExactCacheCountersExport) {
@@ -174,7 +174,7 @@ TEST(CacheMetrics, CoherentCachesExportIncludesProtocolTotals) {
   ASSERT_NE(registry.FindCounter("coh.cache1.misses"), nullptr);
   EXPECT_EQ(registry.FindCounter("coh.bus_transfers")->value(),
             static_cast<double>(caches.total_bus_transfers()));
-  EXPECT_TRUE(IsValidJson(registry.ToJson()));
+  EXPECT_TRUE(ParsesAsJson(registry.ToJson()));
 }
 
 }  // namespace

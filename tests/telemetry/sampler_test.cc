@@ -9,7 +9,7 @@
 
 #include "src/engine/engine.h"
 #include "src/sched/factory.h"
-#include "src/telemetry/json.h"
+#include "tests/serve/json_testing.h"
 
 namespace affsched {
 namespace {
@@ -76,7 +76,7 @@ TEST(Sampler, JsonlRowsAreValidJson) {
   std::string line;
   size_t rows = 0;
   while (std::getline(in, line)) {
-    EXPECT_TRUE(IsValidJson(line)) << line;
+    EXPECT_TRUE(ParsesAsJson(line)) << line;
     ++rows;
   }
   EXPECT_EQ(rows, 2u);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 namespace affsched {
@@ -82,7 +83,16 @@ TEST(TopologySpecTest, ParseRejectsGarbage) {
   EXPECT_NE(error.find("unknown topology preset"), std::string::npos);
   EXPECT_FALSE(ParseTopologySpec("cmp-2x10,bogus-key=1", &spec, &error));
   EXPECT_NE(error.find("unknown topology spec key"), std::string::npos);
-  EXPECT_FALSE(ParseTopologySpec("cmp-2x10,notakeyvalue", &spec, &error));
+  // Numbers must span their whole token, be finite, and unsigned where the
+  // field is a count.
+  for (const char* text :
+       {"cmp-2x10,notakeyvalue", "numa-4x8,remote=nan", "numa-4x8,remote=inf",
+        "cmp-2x10,llc-factor=nan", "cmp-2x10,llc-kb=-1", "cmp-2x10,llc-kb=512k",
+        "numa-4x8,cores-per-cluster=", "numa-4x8,llc-ways=+8", "numa-4x8,llc-line=6 4"}) {
+    error.clear();
+    EXPECT_FALSE(ParseTopologySpec(text, &spec, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
 }
 
 TEST(TopologySpecTest, ValidateCatchesDegenerateLevels) {
@@ -111,8 +121,16 @@ TEST(TopologySpecTest, ValidateCatchesDegenerateLevels) {
   spec.llc_hit_factor = 0.0;
   EXPECT_FALSE(spec.Validate(20).empty());
 
+  spec = CmpTopology();
+  spec.llc_hit_factor = std::nan("");
+  EXPECT_FALSE(spec.Validate(20).empty());
+
   spec = NumaTopology();
   spec.remote_multiplier = 0.5;
+  EXPECT_FALSE(spec.Validate(20).empty());
+
+  spec = NumaTopology();
+  spec.remote_multiplier = std::nan("");
   EXPECT_FALSE(spec.Validate(20).empty());
 }
 

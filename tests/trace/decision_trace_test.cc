@@ -8,7 +8,7 @@
 #include "src/apps/apps.h"
 #include "src/engine/engine.h"
 #include "src/sched/factory.h"
-#include "src/telemetry/json.h"
+#include "tests/serve/json_testing.h"
 
 namespace affsched {
 namespace {
@@ -59,7 +59,7 @@ TEST(DecisionTraceTest, RecordJsonCarriesCandidateBreakdown) {
   r.candidates = {lost, won};
 
   const std::string json = r.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"id\":7"), std::string::npos);
   EXPECT_NE(json.find("\"t_us\":1500"), std::string::npos);
   EXPECT_NE(json.find("\"site\":\"job_arrival\""), std::string::npos);
@@ -75,7 +75,7 @@ TEST(DecisionTraceTest, RecordJsonCarriesCandidateBreakdown) {
 TEST(DecisionTraceTest, UnplacedIndicesSerializeAsMinusOne) {
   DecisionRecord r;  // all defaults: no job, no proc, no preferred task
   const std::string json = r.ToJson();
-  EXPECT_TRUE(IsValidJson(json)) << json;
+  EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"job\":-1"), std::string::npos);
   EXPECT_NE(json.find("\"proc\":-1"), std::string::npos);
   EXPECT_NE(json.find("\"prefer_task\":-1"), std::string::npos);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Integration tests for the affsched_served sweep daemon.
 
-Three scenarios, each driving the real daemon binary through the real
+Four scenarios, each driving the real daemon binary through the real
 reference client (tools/affsched_client.py), so the wire protocol, the
 content-addressed cache, and the crash/shard recovery paths are all
 exercised end to end:
@@ -21,6 +21,10 @@ exercised end to end:
   shard         One coordinator (--no-local-execution) plus two --worker
                 processes sharing a spool and cache: every cell must be
                 resolved remotely and the document must still be golden.
+
+  hostile-spec  Submit specs carrying non-finite numbers: each must come back
+                as an "error" event, and the same daemon must then still
+                answer a valid submit with its result.
 
 Usage:
   tools/serve_integration_test.py --served BIN --mode cache-twice \
@@ -211,10 +215,26 @@ def mode_shard(harness):
           % (summary["remote"], summary["cells"]))
 
 
+def mode_hostile_spec(harness):
+    daemon = harness.start_daemon()
+    for spec in ("smoke;speed=nan", "smoke;cache=nan", "smoke;topology=numa-4x8,remote=nan"):
+        result = harness.client("daemon.sock", "submit", spec, "--quiet", check=False)
+        if result.returncode == 0 or "server error:" not in result.stderr:
+            fail("%s was not answered with an error event:\n%s" % (spec, result.stderr))
+        if daemon.poll() is not None:
+            fail("daemon exited after %s" % spec)
+    summary = harness.submit("daemon.sock", "valid.json", spec="smoke;reps=1")
+    harness.shutdown("daemon.sock")
+    if summary["cells"] == 0:
+        fail("valid submit after hostile specs returned no cells: %s" % summary)
+    print("hostile-spec: hostile specs rejected, then %d cells served" % summary["cells"])
+
+
 MODES = {
     "cache-twice": mode_cache_twice,
     "kill-resume": mode_kill_resume,
     "shard": mode_shard,
+    "hostile-spec": mode_hostile_spec,
 }
 
 
