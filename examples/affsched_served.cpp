@@ -1,28 +1,20 @@
 // affsched_served: the resident sweep daemon (sweep-as-a-service).
 //
-// Two roles in one binary:
+// Listens on a Unix-domain socket for line-delimited JSON requests (see
+// src/serve/wire.h), plans each submitted sweep spec into cells, answers from
+// the content-addressed result cache, simulates only the misses on an
+// in-process worker pool, and streams per-cell events plus the final
+// document — byte-identical to `simctl --sweep` — back to the client.
+// Completed cells checkpoint to the cache as they finish, so killing the
+// daemon mid-sweep loses only in-flight cells; the next submission of the
+// same spec resumes from the survivors.
 //
-//   Coordinator (default): listens on a Unix-domain socket for line-delimited
-//   JSON requests (see src/serve/wire.h), plans each submitted sweep spec
-//   into cells, answers from the content-addressed result cache, simulates
-//   only the misses, and streams per-cell events plus the final document —
-//   byte-identical to `simctl --sweep` — back to the client. Completed cells
-//   checkpoint to the cache as they finish, so killing the daemon mid-sweep
-//   loses only in-flight cells; the next submission of the same spec resumes
-//   from the survivors.
-//
-//   Worker (--worker): no socket. Claims cell tasks from a shared spool
-//   directory (atomic rename, exactly one winner per cell), simulates them,
-//   and publishes results into the shared cache for the coordinator to fold.
-//
-//     affsched_served --socket /tmp/aff.sock --cache-dir /tmp/aff-cache &
-//     affsched_served --worker --spool /tmp/aff-spool --cache-dir /tmp/aff-cache &
-//     python3 tools/affsched_client.py --socket /tmp/aff.sock submit "smoke" --out r.json
+//   affsched_served --socket /tmp/aff.sock --cache-dir /tmp/aff-cache --jobs 4 &
+//   python3 tools/affsched_client.py --socket /tmp/aff.sock submit "smoke" --out r.json
 
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -30,166 +22,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "src/common/flags.h"
 #include "src/runner/heartbeat.h"
 #include "src/runner/sweep.h"
 #include "src/serve/service.h"
-#include "src/serve/spool.h"
 #include "src/serve/wire.h"
 #include "src/telemetry/manifest.h"
 
 namespace {
 
 using namespace affsched;
-
-struct DaemonConfig {
-  std::string socket_path;
-  std::string cache_dir;
-  uint64_t max_cache_bytes = 0;
-  size_t jobs = 0;
-  std::string spool_dir;
-  bool worker = false;
-  double worker_idle_s = 0.0;     // worker: exit after this long idle (0 = run forever)
-  double cell_delay_s = 0.0;      // fault injection: sleep before each simulation
-  long max_requests = -1;         // coordinator: exit after N requests (tests); -1 = unlimited
-  bool shard_local_execution = true;
-  std::string heartbeat_path;     // JSONL heartbeat stream ("-" = stderr)
-  std::string git_rev_override;   // tests only: pin the cache-key revision
-};
-
-void PrintUsage() {
-  std::fprintf(stderr,
-               "usage: affsched_served --socket PATH --cache-dir DIR [options]\n"
-               "       affsched_served --worker --spool DIR --cache-dir DIR [options]\n"
-               "\n"
-               "coordinator options:\n"
-               "  --socket PATH          Unix socket to listen on (required)\n"
-               "  --spool DIR            enable sharding via this spool directory\n"
-               "  --no-local-execution   coordinator never simulates spooled cells itself\n"
-               "                         (workers must; timeout fallback still applies)\n"
-               "  --max-requests N       exit after N requests (integration tests)\n"
-               "worker options:\n"
-               "  --worker               run the spool worker loop instead of serving\n"
-               "  --worker-idle-ms N     exit after N ms with no claimable work\n"
-               "common options:\n"
-               "  --cache-dir DIR        content-addressed result cache (required)\n"
-               "  --max-cache-bytes N    evict LRU entries above this budget (0 = unbounded)\n"
-               "  --jobs N               simulation threads (0 = hardware concurrency)\n"
-               "  --cell-delay-ms N      sleep before each simulated cell (fault injection)\n"
-               "  --heartbeat PATH       append JSONL service heartbeat lines (- = stderr)\n"
-               "  --git-rev REV          override the cache-key git revision (tests)\n");
-}
-
-bool ParseArgs(int argc, char** argv, DaemonConfig* config, std::string* error) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    // Accept both --flag value and --flag=value.
-    std::string inline_value;
-    bool has_inline_value = false;
-    const size_t eq = arg.find('=');
-    if (arg.size() > 2 && arg[0] == '-' && eq != std::string::npos) {
-      inline_value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-      has_inline_value = true;
-    }
-    auto next = [&](const char* flag) -> const char* {
-      if (has_inline_value) {
-        return inline_value.c_str();
-      }
-      if (i + 1 >= argc) {
-        *error = std::string(flag) + " needs a value";
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      const char* v = next("--socket");
-      if (v == nullptr) return false;
-      config->socket_path = v;
-    } else if (arg == "--cache-dir") {
-      const char* v = next("--cache-dir");
-      if (v == nullptr) return false;
-      config->cache_dir = v;
-    } else if (arg == "--max-cache-bytes") {
-      const char* v = next("--max-cache-bytes");
-      if (v == nullptr) return false;
-      config->max_cache_bytes = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--jobs") {
-      const char* v = next("--jobs");
-      if (v == nullptr) return false;
-      config->jobs = static_cast<size_t>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--spool") {
-      const char* v = next("--spool");
-      if (v == nullptr) return false;
-      config->spool_dir = v;
-    } else if (arg == "--worker") {
-      config->worker = true;
-    } else if (arg == "--worker-idle-ms") {
-      const char* v = next("--worker-idle-ms");
-      if (v == nullptr) return false;
-      config->worker_idle_s = std::strtod(v, nullptr) / 1000.0;
-    } else if (arg == "--cell-delay-ms") {
-      const char* v = next("--cell-delay-ms");
-      if (v == nullptr) return false;
-      config->cell_delay_s = std::strtod(v, nullptr) / 1000.0;
-    } else if (arg == "--max-requests") {
-      const char* v = next("--max-requests");
-      if (v == nullptr) return false;
-      config->max_requests = std::strtol(v, nullptr, 10);
-    } else if (arg == "--no-local-execution") {
-      config->shard_local_execution = false;
-    } else if (arg == "--heartbeat") {
-      const char* v = next("--heartbeat");
-      if (v == nullptr) return false;
-      config->heartbeat_path = v;
-    } else if (arg == "--git-rev") {
-      const char* v = next("--git-rev");
-      if (v == nullptr) return false;
-      config->git_rev_override = v;
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      std::exit(0);
-    } else {
-      *error = "unknown flag: " + arg;
-      return false;
-    }
-  }
-  if (config->cache_dir.empty()) {
-    *error = "--cache-dir is required";
-    return false;
-  }
-  if (config->worker) {
-    if (config->spool_dir.empty()) {
-      *error = "--worker needs --spool";
-      return false;
-    }
-  } else if (config->socket_path.empty()) {
-    *error = "--socket is required (or --worker)";
-    return false;
-  }
-  return true;
-}
-
-int RunWorker(const DaemonConfig& config) {
-  ResultCacheOptions cache_options;
-  cache_options.dir = config.cache_dir;
-  cache_options.max_bytes = config.max_cache_bytes;
-  ResultCache cache(cache_options);
-  Spool spool(config.spool_dir);
-  if (!cache.ok()) {
-    std::fprintf(stderr, "affsched_served: %s\n", cache.error().c_str());
-    return 1;
-  }
-  if (!spool.ok()) {
-    std::fprintf(stderr, "affsched_served: %s\n", spool.error().c_str());
-    return 1;
-  }
-  SpoolWorkerOptions worker_options;
-  worker_options.idle_timeout_s = config.worker_idle_s;
-  worker_options.cell_delay_s = config.cell_delay_s;
-  const size_t executed = RunSpoolWorker(&spool, &cache, worker_options);
-  std::fprintf(stderr, "affsched_served: worker done, %zu cells executed\n", executed);
-  return 0;
-}
 
 // One heartbeat "cache" line: the service stats snapshot, flattened so the
 // stream stays one-record-per-line greppable.
@@ -207,8 +49,7 @@ void EmitServiceHeartbeat(HeartbeatWriter* heartbeat, SweepService* service) {
       ",\"entries\":" + std::to_string(service->cache()->EntryCount()) +
       ",\"bytes\":" + std::to_string(service->cache()->TotalBytes()) +
       ",\"submits\":" + std::to_string(counters.submits.load()) +
-      ",\"cells_executed\":" + std::to_string(counters.cells_executed.load()) +
-      ",\"cells_remote\":" + std::to_string(counters.cells_remote.load());
+      ",\"cells_executed\":" + std::to_string(counters.cells_executed.load());
   heartbeat->Custom("cache", members);
 }
 
@@ -252,15 +93,34 @@ bool ServeConnection(int fd, SweepService* service, HeartbeatWriter* heartbeat) 
   return true;
 }
 
-int RunCoordinator(const DaemonConfig& config) {
+// Validates the flags, then accepts connections until a client asks for
+// shutdown or --max-requests connections have been served.
+int Serve(const FlagSet& flags) {
+  const std::string socket_path = flags.GetString("socket");
+  const std::string cache_dir = flags.GetString("cache-dir");
+  const int64_t max_requests = flags.GetInt("max-requests");
+  const char* problem = nullptr;
+  if (socket_path.empty()) {
+    problem = "--socket is required";
+  } else if (cache_dir.empty()) {
+    problem = "--cache-dir is required";
+  } else if (flags.GetInt("max-cache-bytes") < 0) {
+    problem = "--max-cache-bytes must be >= 0";
+  } else if (flags.GetInt("jobs") < 0) {
+    problem = "--jobs must be >= 0";
+  } else if (flags.GetDouble("cell-delay-ms") < 0.0) {
+    problem = "--cell-delay-ms must be >= 0";
+  }
+  if (problem != nullptr) {
+    std::fprintf(stderr, "affsched_served: %s\n", problem);
+    return 2;
+  }
+
   SweepServiceOptions options;
-  options.cache_dir = config.cache_dir;
-  options.max_cache_bytes = config.max_cache_bytes;
-  options.jobs = config.jobs;
-  options.spool_dir = config.spool_dir;
-  options.shard_local_execution = config.shard_local_execution;
-  options.cell_delay_s = config.cell_delay_s;
-  options.git_rev = config.git_rev_override;
+  options.cache_dir = cache_dir;
+  options.max_cache_bytes = static_cast<uint64_t>(flags.GetInt("max-cache-bytes"));
+  options.jobs = static_cast<size_t>(flags.GetInt("jobs"));
+  options.cell_delay_s = flags.GetDouble("cell-delay-ms") / 1000.0;
   SweepService service(options);
   if (!service.ok()) {
     std::fprintf(stderr, "affsched_served: %s\n", service.error().c_str());
@@ -268,22 +128,22 @@ int RunCoordinator(const DaemonConfig& config) {
   }
 
   std::unique_ptr<HeartbeatWriter> heartbeat;
-  if (!config.heartbeat_path.empty()) {
-    heartbeat = std::make_unique<HeartbeatWriter>(config.heartbeat_path);
+  if (!flags.GetString("heartbeat").empty()) {
+    heartbeat = std::make_unique<HeartbeatWriter>(flags.GetString("heartbeat"));
     service.set_round_stats(
         [&](const SweepRoundStats& stats) { heartbeat->OnRound(stats); });
   }
 
   std::string error;
-  const int listen_fd = ListenUnix(config.socket_path, &error);
+  const int listen_fd = ListenUnix(socket_path, &error);
   if (listen_fd < 0) {
     std::fprintf(stderr, "affsched_served: %s\n", error.c_str());
     return 1;
   }
   std::fprintf(stderr, "affsched_served: listening on %s (cache %s, git %s)\n",
-               config.socket_path.c_str(), config.cache_dir.c_str(), service.git_rev().c_str());
+               socket_path.c_str(), cache_dir.c_str(), service.git_rev().c_str());
 
-  long served = 0;
+  int64_t served = 0;
   bool keep_running = true;
   while (keep_running) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
@@ -296,13 +156,13 @@ int RunCoordinator(const DaemonConfig& config) {
     }
     keep_running = ServeConnection(fd, &service, heartbeat.get());
     ++served;
-    if (config.max_requests >= 0 && served >= config.max_requests) {
+    if (max_requests >= 0 && served >= max_requests) {
       keep_running = false;
     }
   }
   EmitServiceHeartbeat(heartbeat.get(), &service);
   ::close(listen_fd);
-  ::unlink(config.socket_path.c_str());
+  ::unlink(socket_path.c_str());
   return 0;
 }
 
@@ -311,12 +171,25 @@ int RunCoordinator(const DaemonConfig& config) {
 int main(int argc, char** argv) {
   // A client that disconnects mid-stream must not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
-  DaemonConfig config;
-  std::string error;
-  if (!ParseArgs(argc, argv, &config, &error)) {
-    std::fprintf(stderr, "affsched_served: %s\n", error.c_str());
-    PrintUsage();
+  FlagSet flags(
+      "affsched_served: resident sweep daemon. Serves sweep specs over a Unix\n"
+      "socket from a content-addressed result cache (see src/serve/wire.h).\n"
+      "usage: affsched_served --socket PATH --cache-dir DIR [flags]");
+  flags.AddString("socket", "", "Unix socket to listen on (required)");
+  flags.AddString("cache-dir", "", "content-addressed result cache directory (required)");
+  flags.AddInt("max-cache-bytes", 0,
+               "evict least-recently-used entries above this budget (0 = unbounded)");
+  flags.AddInt("jobs", 0, "simulation threads (0 = hardware concurrency)");
+  flags.AddDouble("cell-delay-ms", 0.0, "sleep before each simulated cell (fault injection)");
+  flags.AddInt("max-requests", -1, "exit after serving N connections (-1 = unlimited)");
+  flags.AddString("heartbeat", "", "append JSONL service heartbeat lines here (- = stderr)");
+  if (!flags.Parse(argc, argv)) {
+    if (flags.help_requested()) {
+      std::printf("%s", flags.Help().c_str());
+      return 0;
+    }
+    std::fprintf(stderr, "affsched_served: %s\n", flags.error().c_str());
     return 2;
   }
-  return config.worker ? RunWorker(config) : RunCoordinator(config);
+  return Serve(flags);
 }

@@ -31,10 +31,7 @@
 #include "src/runner/sweep.h"
 #include "src/runner/worker_pool.h"
 #include "src/sched/metered.h"
-#include "src/serve/jsonv.h"
-#include "src/serve/wire.h"
 #include "src/telemetry/chrome_trace.h"
-#include "src/telemetry/json.h"
 #include "src/telemetry/manifest.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/sampler.h"
@@ -161,117 +158,6 @@ int RunSweepMode(const FlagSet& flags) {
     std::printf("wrote sweep results to %s\n", out_path.c_str());
   }
   return 0;
-}
-
-// Client mode for the resident sweep daemon (--server): submits a sweep spec
-// (or a stats/shutdown request) over the Unix socket and streams the wire
-// events back. The saved --out file is byte-identical to what --sweep would
-// write locally — the daemon only adds caching around the same simulation.
-int RunServerClientMode(const FlagSet& flags) {
-  const std::string socket_path = flags.GetString("server");
-  std::string error;
-  const int fd = ConnectUnix(socket_path, &error);
-  if (fd < 0) {
-    std::printf("simctl: %s\n", error.c_str());
-    return 1;
-  }
-  LineChannel channel(fd);
-
-  if (flags.GetBool("server-stats")) {
-    if (!channel.WriteLine("{\"op\":\"stats\"}")) {
-      std::printf("simctl: failed to send stats request\n");
-      return 1;
-    }
-    std::string line;
-    if (!channel.ReadLine(&line)) {
-      std::printf("simctl: daemon closed the connection\n");
-      return 1;
-    }
-    std::printf("%s\n", line.c_str());
-    return 0;
-  }
-
-  const std::string spec_text = flags.GetString("submit");
-  if (spec_text.empty()) {
-    std::printf("--server needs --submit=<spec> (or --server-stats)\n");
-    return 1;
-  }
-  std::string request = "{\"op\":\"submit\",\"spec\":\"" + JsonEscape(spec_text) + "\"";
-  const size_t jobs = static_cast<size_t>(flags.GetInt("jobs"));
-  if (jobs > 0) {
-    request += ",\"jobs\":" + std::to_string(jobs);
-  }
-  request += "}";
-  if (!channel.WriteLine(request)) {
-    std::printf("simctl: failed to send submit request\n");
-    return 1;
-  }
-
-  const std::string out_path = flags.GetString("out");
-  std::string line;
-  while (channel.ReadLine(&line)) {
-    JsonValue event;
-    if (!ParseJson(line, &event, &error) || !event.IsObject()) {
-      std::fprintf(stderr, "simctl: unparseable event line: %s\n", line.c_str());
-      continue;
-    }
-    const JsonValue* kind = event.Get("event");
-    if (kind == nullptr || !kind->IsString()) {
-      continue;
-    }
-    if (kind->string_value == "planned") {
-      const JsonValue* cells_min = event.Get("cells_min");
-      std::fprintf(stderr, "server sweep planned: >=%lld cells\n",
-                   static_cast<long long>(cells_min != nullptr ? cells_min->AsInt64() : 0));
-    } else if (kind->string_value == "cell") {
-      const JsonValue* policy = event.Get("policy");
-      const JsonValue* mix = event.Get("mix");
-      const JsonValue* rep = event.Get("rep");
-      const JsonValue* source = event.Get("source");
-      std::fprintf(stderr, "cell %s mix=%lld rep=%lld [%s]\n",
-                   policy != nullptr ? policy->string_value.c_str() : "?",
-                   static_cast<long long>(mix != nullptr ? mix->AsInt64() : 0),
-                   static_cast<long long>(rep != nullptr ? rep->AsInt64() : 0),
-                   source != nullptr ? source->string_value.c_str() : "?");
-    } else if (kind->string_value == "result") {
-      const JsonValue* cells = event.Get("cells");
-      const JsonValue* hits = event.Get("hits");
-      const JsonValue* remote = event.Get("remote");
-      std::printf("server sweep '%s': %lld cells (%lld from cache, %lld remote)\n",
-                  spec_text.c_str(),
-                  static_cast<long long>(cells != nullptr ? cells->AsInt64() : 0),
-                  static_cast<long long>(hits != nullptr ? hits->AsInt64() : 0),
-                  static_cast<long long>(remote != nullptr ? remote->AsInt64() : 0));
-      const JsonValue* json = event.Get("json");
-      if (!out_path.empty()) {
-        if (json == nullptr || !json->IsString()) {
-          std::printf("simctl: result event carried no json document\n");
-          return 1;
-        }
-        FILE* out = std::fopen(out_path.c_str(), "w");
-        if (out == nullptr ||
-            std::fwrite(json->string_value.data(), 1, json->string_value.size(), out) !=
-                json->string_value.size()) {
-          if (out != nullptr) {
-            std::fclose(out);
-          }
-          std::printf("failed to write %s\n", out_path.c_str());
-          return 1;
-        }
-        std::fclose(out);
-        std::printf("wrote sweep results to %s\n", out_path.c_str());
-      }
-    } else if (kind->string_value == "error") {
-      const JsonValue* message = event.Get("message");
-      std::printf("simctl: server error: %s\n",
-                  message != nullptr ? message->string_value.c_str() : line.c_str());
-      return 1;
-    } else if (kind->string_value == "done") {
-      return 0;
-    }
-  }
-  std::printf("simctl: daemon closed the connection before \"done\"\n");
-  return 1;
 }
 
 // Runs an open-system load sweep (--open mode): stochastic arrivals through
@@ -480,14 +366,6 @@ int main(int argc, char** argv) {
   flags.AddString("heartbeat", "",
                   "stream live-progress JSONL here during --sweep/--open "
                   "(\"-\" = stderr); see README Observability");
-  flags.AddString("server", "",
-                  "client mode: connect to an affsched_served Unix socket; "
-                  "use with --submit or --server-stats");
-  flags.AddString("submit", "",
-                  "sweep spec to submit to --server (same syntax as --sweep); "
-                  "streams cell events, saves the result document to --out");
-  flags.AddBool("server-stats", false,
-                "ask --server for its cache/service counters and print them");
   flags.AddBool("open", false,
                 "run an open-system load sweep: stochastic arrivals, admission "
                 "control, latency percentiles (see --preset)");
@@ -525,8 +403,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!flags.GetString("server").empty()) {
-    return RunServerClientMode(flags);
+  if (flags.GetInt("jobs") < 0) {
+    std::printf("--jobs must be >= 0\n");
+    return 1;
   }
 
   if (!flags.GetString("sweep").empty()) {
@@ -553,8 +432,9 @@ int main(int argc, char** argv) {
                 flags.GetString("steal").c_str());
     return 1;
   }
-  if (flags.GetDouble("balance-interval") < 0.0) {
-    std::printf("--balance-interval must be >= 0 ms\n");
+  if (flags.GetDouble("balance-interval") < 0.0 ||
+      flags.GetDouble("balance-interval") > kMaxBalanceIntervalMs) {
+    std::printf("--balance-interval must be in [0, 1e6] ms\n");
     return 1;
   }
   if (flags.GetDouble("sample-ms") <= 0.0) {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/common/spec_grammar.h"
 
 namespace affsched {
 
@@ -37,20 +38,19 @@ bool FlagSet::SetValue(const std::string& name, const std::string& value) {
     return false;
   }
   Flag& flag = it->second;
-  char* end = nullptr;
+  // Numbers go through the spec grammar's strict reader: the whole value,
+  // finite, no trailing characters.
   switch (flag.type) {
     case Type::kInt: {
-      (void)std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0') {
-        error_ = "flag --" + name + " expects an integer, got '" + value + "'";
+      int64_t parsed = 0;
+      if (!ReadSpecNumber("flag --" + name, value, &parsed, &error_)) {
         return false;
       }
       break;
     }
     case Type::kDouble: {
-      (void)std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0') {
-        error_ = "flag --" + name + " expects a number, got '" + value + "'";
+      double parsed = 0.0;
+      if (!ReadSpecNumber("flag --" + name, value, &parsed, &error_)) {
         return false;
       }
       break;
@@ -88,7 +88,11 @@ bool FlagSet::Parse(int argc, const char* const* argv) {
       arg = arg.substr(0, eq);
     } else {
       auto it = flags_.find(arg);
-      if (it != flags_.end() && it->second.type == Type::kBool) {
+      if (it == flags_.end()) {
+        error_ = "unknown flag --" + arg;
+        return false;
+      }
+      if (it->second.type == Type::kBool) {
         value = "true";  // bare boolean
       } else if (i + 1 < argc) {
         value = argv[++i];

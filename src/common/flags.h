@@ -2,7 +2,8 @@
 //
 // Supports "--name=value", "--name value", bare boolean "--name", and "--help"
 // generation. Unknown flags are errors (typos should not silently run the
-// wrong experiment).
+// wrong experiment). Numbers are read like spec values (ReadSpecNumber): the
+// whole value, finite, nothing trailing.
 
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_

@@ -21,11 +21,14 @@ std::string MachineConfig::Validate() const {
   if (geometry.ways == 0) {
     return "cache geometry needs at least one way";
   }
-  if (!(processor_speed > 0.0)) {
-    return "processor_speed must be > 0";
+  // Written so that NaN fails too.
+  constexpr double kMinFactor = 1.0 / 1024.0;
+  constexpr double kMaxFactor = 1024.0;
+  if (!(processor_speed >= kMinFactor && processor_speed <= kMaxFactor)) {
+    return "processor_speed must be in [2^-10, 2^10]";
   }
-  if (!(cache_size_factor > 0.0)) {
-    return "cache_size_factor must be > 0";
+  if (!(cache_size_factor >= kMinFactor && cache_size_factor <= kMaxFactor)) {
+    return "cache_size_factor must be in [2^-10, 2^10]";
   }
   if (!topology.IsFlat() && cache_model != CacheModelKind::kFootprint) {
     return "hierarchical topologies require the footprint cache model "

@@ -50,9 +50,11 @@ struct MachineConfig {
   // into (1..64). Only meaningful — and only validated — when cache_model is
   // kPartitioned; 0 otherwise.
   size_t num_colors = 0;
-  // Speed of this machine's processors relative to the base Symmetry.
+  // Speed of this machine's processors relative to the base Symmetry, in
+  // [2^-10, 2^10] (Validate): far outside it, scaled durations leave the
+  // integer-nanosecond clock's range.
   double processor_speed = 1.0;
-  // Cache size relative to the base Symmetry.
+  // Cache size relative to the base Symmetry, in [2^-10, 2^10].
   double cache_size_factor = 1.0;
   SharedBus::Config bus;
   // Machine hierarchy (clusters, nodes, shared LLCs). The default

@@ -156,8 +156,11 @@ bool ApplyOpenKey(OpenSweepSpec* spec, const std::string& key, const std::string
             SpecError(error, "warmup must be 'mser' or a fraction in [0, 1)"));
   }
   if (key == "burst") {
+    // Capped so the in-burst gap (the mean gap over the factor) stays well
+    // above one nanosecond.
     return ReadSpecNumber(key, value, &spec->onoff_burst_factor, error) &&
-           (spec->onoff_burst_factor > 1.0 || SpecError(error, "burst factor must be > 1"));
+           ((spec->onoff_burst_factor > 1.0 && spec->onoff_burst_factor <= 1000.0) ||
+            SpecError(error, "burst factor must be in (1, 1000]"));
   }
   return ApplyGridKey(key, value, "open sweep", spec, error);
 }

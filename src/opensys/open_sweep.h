@@ -92,7 +92,8 @@ OpenSweepSpec OpenSysSmokeSpec();  // 2 policies x 2 rhos x poisson
 // or a preset plus overrides. Keys: the shared grid keys
 // (src/runner/grid_spec.h), plus rhos (comma-separated), arrivals
 // (comma-separated kinds), count (arrivals per cell), reps, mpl-cap,
-// max-queue, warmup ("mser" or a fraction) and burst (on/off burst factor).
+// max-queue, warmup ("mser" or a fraction) and burst (on/off burst factor,
+// in (1, 1000]).
 bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::string* error);
 
 // Deterministic mean job demand in seconds of base-machine work: a fixed

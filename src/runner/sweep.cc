@@ -166,8 +166,8 @@ bool ApplySweepKey(SweepSpec* spec, const std::string& key, const std::string& v
     if (!ReadSpecNumber(key, value, &ms, error)) {
       return false;
     }
-    if (ms < 0.0) {
-      return SpecError(error, "balance interval must be >= 0 ms");
+    if (ms < 0.0 || ms > kMaxBalanceIntervalMs) {
+      return SpecError(error, "balance interval must be in [0, 1e6] ms");
     }
     spec->engine.balance_interval = Milliseconds(ms);
     return true;

@@ -100,8 +100,14 @@ SweepSpec RtSpec();
 // (comma-separated Table 2 numbers), reps (N fixed or MIN-MAX adaptive),
 // precision, observability (0/1 — schema-v3 affinity-efficiency block) and
 // balance-interval (milliseconds between load-balance ticks, overriding the
-// policy default). Returns false and sets `error` on malformed input.
+// policy default; 0 to kMaxBalanceIntervalMs). Returns false and sets `error`
+// on malformed input.
 bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error);
+
+// Upper bound on a balance interval, in milliseconds: 1000 simulated
+// seconds, longer than any run here, and far inside the range the
+// conversion to integer nanoseconds can represent.
+inline constexpr double kMaxBalanceIntervalMs = 1e6;
 
 // One executed cell: a whole simulation at a derived seed.
 struct CellResult {

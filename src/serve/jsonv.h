@@ -2,12 +2,12 @@
 //
 // The telemetry layer's json.h is a writer's toolkit (escaping, number
 // formatting); the serve layer additionally needs to *read* JSON:
-// wire-protocol requests off the daemon socket, cached cell entries, and
-// spool task files. Tests use it to check exporter output too. This is a strict, dependency-free
-// recursive-descent parser into a small DOM. Strictness matters for the
-// cache: a truncated entry (the process was SIGKILLed mid-write, the disk
-// filled up) must fail to parse so the probe treats it as a miss and the
-// cell is re-simulated — never half-read.
+// wire-protocol requests off the daemon socket and cached cell entries.
+// Tests use it to check exporter output too. This is a strict,
+// dependency-free recursive-descent parser into a small DOM. Strictness
+// matters for the cache: a truncated entry (the process was SIGKILLed
+// mid-write, the disk filled up) must fail to parse so the probe treats it
+// as a miss and the cell is re-simulated — never half-read.
 //
 // Numbers keep their raw source text alongside the converted double, so a
 // value written with %.17g round-trips to the bit-identical double (the

@@ -235,14 +235,6 @@ bool ResultCache::Probe(const std::string& key, RunResult* out) {
   return true;
 }
 
-bool ResultCache::Contains(const std::string& key) const {
-  if (!ok_) {
-    return false;
-  }
-  std::error_code ec;
-  return fs::exists(fs::path(options_.dir) / EntryFileName(key), ec);
-}
-
 bool ResultCache::Store(const std::string& key, const CellEntryMeta& meta,
                         const RunResult& result) {
   if (!ok_) {

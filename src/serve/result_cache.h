@@ -21,9 +21,9 @@
 // The entry just written is exempt so one oversized store cannot evict
 // itself into a permanent miss loop.
 //
-// Thread-safety: Probe/Store/Contains may be called concurrently (worker
-// threads store, shard coordinators poll); stats are atomics and the
-// eviction scan is serialized by a mutex.
+// Thread-safety: Probe and Store may be called concurrently (the runner's
+// worker threads store while its orchestration thread probes); stats are
+// atomics and the eviction scan is serialized by a mutex.
 
 #ifndef SRC_SERVE_RESULT_CACHE_H_
 #define SRC_SERVE_RESULT_CACHE_H_
@@ -52,8 +52,8 @@ struct ResultCacheStats {
   uint64_t evictions = 0;
 };
 
-// Identity recorded inside an entry, for human inspection and for spool
-// workers reporting what they executed. Not authoritative — the key is.
+// Identity recorded inside an entry, for human inspection. Not
+// authoritative — the key is.
 struct CellEntryMeta {
   std::string policy;  // CLI name
   int mix = 0;
@@ -76,10 +76,6 @@ class ResultCache {
   // undecodable entry is deleted and reported as a miss.
   bool Probe(const std::string& key, RunResult* out);
 
-  // Existence check without stats side effects (shard coordinators poll with
-  // this while waiting for a remote worker).
-  bool Contains(const std::string& key) const;
-
   // Atomically publishes an entry (write temp + rename), then enforces the
   // size budget. Returns false only on I/O failure.
   bool Store(const std::string& key, const CellEntryMeta& meta, const RunResult& result);
@@ -94,8 +90,8 @@ class ResultCache {
   // counters from this process's lifetime).
   std::string StatsJson() const;
 
-  // Entry codec, exposed for tests and the spool worker. Decode is strict:
-  // any parse failure, schema mismatch, or missing field returns false.
+  // Entry codec, exposed for tests. Decode is strict: any parse failure,
+  // schema mismatch, or missing field returns false.
   static std::string EncodeEntry(const std::string& key, const CellEntryMeta& meta,
                                  const RunResult& result);
   static bool DecodeEntry(const std::string& text, RunResult* out, CellEntryMeta* meta = nullptr);

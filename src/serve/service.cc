@@ -2,9 +2,7 @@
 
 #include <chrono>
 #include <exception>
-#include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "src/measure/experiment.h"
@@ -30,23 +28,6 @@ SweepService::SweepService(const SweepServiceOptions& options) : options_(option
   cache_options.dir = options_.cache_dir;
   cache_options.max_bytes = options_.max_cache_bytes;
   cache_ = std::make_unique<ResultCache>(cache_options);
-  if (!options_.spool_dir.empty()) {
-    spool_ = std::make_unique<Spool>(options_.spool_dir);
-  }
-}
-
-bool SweepService::ok() const {
-  return cache_->ok() && (spool_ == nullptr || spool_->ok());
-}
-
-std::string SweepService::error() const {
-  if (!cache_->ok()) {
-    return cache_->error();
-  }
-  if (spool_ != nullptr && !spool_->ok()) {
-    return spool_->error();
-  }
-  return "";
 }
 
 void SweepService::set_round_stats(std::function<void(const SweepRoundStats&)> hook) {
@@ -67,57 +48,22 @@ bool SweepService::Submit(const SweepSpec& spec,
          JsonEscape(spec.name) + "\",\"cells_min\":" + std::to_string(cells_min) + "}");
   }
 
-  // Cells a shard worker resolved (vs. simulated here). Written from worker
-  // threads, read on the orchestration thread after each round's barrier.
-  std::mutex remote_mu;
-  std::unordered_set<std::string> remote_keys;
-
   SweepRunnerOptions runner_options;
   runner_options.jobs = options_.jobs;
   runner_options.round_stats = round_stats_;
 
   runner_options.probe_cell = [&](const SweepCellRef& ref, RunResult* out) {
-    const std::string key = KeyFor(spec, ref, git_rev_);
-    if (cache_->Probe(key, out)) {
-      ++local.hits;
-      counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return true;
+    if (!cache_->Probe(KeyFor(spec, ref, git_rev_), out)) {
+      return false;
     }
-    // Miss: when sharded, publish the cell so workers can start on it while
-    // this round's other cells are still being probed.
-    if (spool_ != nullptr) {
-      spool_->Offer(Spool::MakeTask(key, spec, ref.policy, ref.mix_number, ref.replication,
-                                    ref.seed));
-    }
-    return false;
+    ++local.hits;
+    counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    return true;
   };
 
-  runner_options.run_cell = [&](const SweepCellRef& ref, const MachineConfig& machine,
+  runner_options.run_cell = [&](const SweepCellRef&, const MachineConfig& machine,
                                 PolicyKind policy, const std::vector<AppProfile>& jobs,
                                 uint64_t seed, const EngineOptions& engine) {
-    const std::string key = KeyFor(spec, ref, git_rev_);
-    if (spool_ != nullptr) {
-      // Claim our own offered task back; losing the race means a worker owns
-      // the cell and its result will appear in the shared cache.
-      const bool ours = options_.shard_local_execution && spool_->TryClaimKey(key);
-      if (!ours) {
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::duration<double>(options_.remote_wait_timeout_s);
-        while (std::chrono::steady_clock::now() < deadline) {
-          RunResult remote;
-          if (cache_->Contains(key) && cache_->Probe(key, &remote)) {
-            counters_.cells_remote.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<std::mutex> lock(remote_mu);
-            remote_keys.insert(key);
-            return remote;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        // The worker died (or never existed). Duplicate execution is safe —
-        // the CRN seed makes the result identical — so fall through and
-        // simulate locally rather than block the sweep.
-      }
-    }
     if (options_.cell_delay_s > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(options_.cell_delay_s));
     }
@@ -129,52 +75,31 @@ bool SweepService::Submit(const SweepSpec& spec,
   };
 
   runner_options.store_cell = [&](const SweepCellRef& ref, const RunResult& result) {
-    const std::string key = KeyFor(spec, ref, git_rev_);
-    {
-      std::lock_guard<std::mutex> lock(remote_mu);
-      if (remote_keys.count(key) != 0) {
-        return;  // a worker already published this entry
-      }
-    }
     CellEntryMeta meta;
     meta.policy = PolicyKindCliName(ref.policy);
     meta.mix = ref.mix_number;
     meta.replication = ref.replication;
     meta.seed = ref.seed;
-    cache_->Store(key, meta, result);
-    if (spool_ != nullptr) {
-      spool_->FinishKey(key);
-    }
+    cache_->Store(KeyFor(spec, ref, git_rev_), meta, result);
   };
 
-  runner_options.on_cell = [&](const SweepCellRef& ref, const RunResult& result,
-                               bool from_cache) {
-    (void)result;
+  runner_options.on_cell = [&](const SweepCellRef& ref, const RunResult&, bool from_cache) {
     ++local.cells;
-    const char* source = "sim";
-    if (from_cache) {
-      source = "cache";
-    } else {
-      const std::string key = KeyFor(spec, ref, git_rev_);
-      std::lock_guard<std::mutex> lock(remote_mu);
-      if (remote_keys.count(key) != 0) {
-        source = "remote";
-      } else {
-        ++local.executed;
-      }
+    if (!from_cache) {
+      ++local.executed;
     }
-    if (options_.stream_cells && emit) {
+    if (emit) {
       emit("{\"event\":\"cell\",\"sweep\":\"" + local.sweep_key + "\",\"policy\":\"" +
            PolicyKindCliName(ref.policy) + "\",\"mix\":" + std::to_string(ref.mix_number) +
            ",\"rep\":" + std::to_string(ref.replication) +
-           ",\"seed\":" + std::to_string(ref.seed) + ",\"source\":\"" + source + "\"}");
+           ",\"seed\":" + std::to_string(ref.seed) + ",\"source\":\"" +
+           (from_cache ? "cache" : "sim") + "\"}");
     }
   };
 
   try {
     SweepRunner runner(runner_options);
     SweepResult result = runner.Run(spec);
-    local.remote = remote_keys.size();
     counters_.cells_planned.fetch_add(local.cells, std::memory_order_relaxed);
     // The document ends in a newline, exactly as the batch runner's
     // WriteFile emits it, so saved responses diff clean against it.
@@ -194,8 +119,7 @@ bool SweepService::Submit(const SweepSpec& spec,
     emit("{\"event\":\"result\",\"sweep\":\"" + local.sweep_key +
          "\",\"cells\":" + std::to_string(local.cells) +
          ",\"hits\":" + std::to_string(local.hits) +
-         ",\"executed\":" + std::to_string(local.executed) +
-         ",\"remote\":" + std::to_string(local.remote) + ",\"json\":\"" +
+         ",\"executed\":" + std::to_string(local.executed) + ",\"json\":\"" +
          JsonEscape(local.json) + "\"}");
     emit("{\"event\":\"done\",\"sweep\":\"" + local.sweep_key + "\"}");
   }
@@ -213,7 +137,6 @@ std::string SweepService::StatsJson() const {
                         ",\"cells_planned\":" + load(counters_.cells_planned) +
                         ",\"cache_hits\":" + load(counters_.cache_hits) +
                         ",\"cells_executed\":" + load(counters_.cells_executed) +
-                        ",\"cells_remote\":" + load(counters_.cells_remote) +
                         ",\"inflight\":" + load(counters_.inflight) +
                         ",\"errors\":" + load(counters_.errors) + "}";
   return "{\"event\":\"stats\",\"git_rev\":\"" + JsonEscape(git_rev_) +

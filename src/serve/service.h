@@ -1,8 +1,7 @@
 // SweepService: the serving layer over the batch sweep runner.
 //
-// A service owns a content-addressed ResultCache (and optionally a shard
-// Spool) and answers sweep submissions through three seams the runner
-// exposes:
+// A service owns a content-addressed ResultCache and answers sweep
+// submissions through three seams the runner exposes:
 //
 //   probe  — before a round executes, every cell is looked up in the cache;
 //            hits skip simulation entirely.
@@ -12,17 +11,11 @@
 //   stream — as cells fold (deterministic order), a wire event is emitted,
 //            giving clients incremental results long before the document.
 //
-// The final document is built by the unmodified SweepRunner fold, so a
-// submission's JSON is byte-identical to `simctl --sweep` on the same spec —
-// whether its cells came from simulation, the cache, a resumed half-finished
-// run, or remote shard workers, in any mixture.
-//
-// Sharding: with a spool configured, cache-miss cells are offered as task
-// files during the probe phase; worker processes claim them by atomic
-// rename and publish results into the shared cache. The coordinator's cell
-// execution then claims its own tasks back — whatever the workers already
-// took, it simply waits for (with a timeout fallback that re-simulates
-// locally, so dead workers cost time, not liveness).
+// Misses run on the runner's in-process WorkerPool. The final document is
+// built by the unmodified SweepRunner fold, so a submission's JSON is
+// byte-identical to `simctl --sweep` on the same spec — whether its cells
+// came from simulation, the cache or a resumed half-finished run, in any
+// mixture.
 
 #ifndef SRC_SERVE_SERVICE_H_
 #define SRC_SERVE_SERVICE_H_
@@ -36,7 +29,6 @@
 #include "src/runner/heartbeat.h"
 #include "src/runner/runner.h"
 #include "src/serve/result_cache.h"
-#include "src/serve/spool.h"
 
 namespace affsched {
 
@@ -44,21 +36,9 @@ struct SweepServiceOptions {
   std::string cache_dir;
   uint64_t max_cache_bytes = 0;  // 0 = unbounded
   size_t jobs = 0;               // simulation threads (0 = hardware concurrency)
-  // Sharding: non-empty enables the spool protocol for cache-miss cells.
-  std::string spool_dir;
-  // When sharded, whether the coordinator also executes cells itself (claim
-  // races with workers). False = pure coordinator: every miss must be
-  // executed by a worker (or by the timeout fallback) — used by tests to
-  // make "remote" counts deterministic.
-  bool shard_local_execution = true;
-  // How long to wait for a worker-claimed cell before re-simulating it
-  // locally. Generous: a false timeout only duplicates work.
-  double remote_wait_timeout_s = 60.0;
-  // Fault-injection throttle: sleep before each local simulation. Widens the
+  // Fault-injection throttle: sleep before each simulation. Widens the
   // kill window for crash/resume tests; 0 in production.
   double cell_delay_s = 0.0;
-  // Emit one "cell" wire event per folded cell (the incremental stream).
-  bool stream_cells = true;
   // Cache-key git revision override; empty = RunManifest::GitSha(). Tests
   // pin it so prebuilt fixtures stay addressable.
   std::string git_rev;
@@ -71,18 +51,16 @@ struct ServiceCounters {
   std::atomic<uint64_t> cells_planned{0};
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cells_executed{0};  // simulated in this process
-  std::atomic<uint64_t> cells_remote{0};    // resolved by shard workers
   std::atomic<uint64_t> inflight{0};        // simulations running right now
   std::atomic<uint64_t> errors{0};
 };
 
-// One submission's outcome. cells == hits + executed + remote.
+// One submission's outcome. cells == hits + executed.
 struct SubmitOutcome {
   std::string sweep_key;
   size_t cells = 0;
   size_t hits = 0;
   size_t executed = 0;
-  size_t remote = 0;
   std::string json;  // the schema-v1/v3 sweep document
 };
 
@@ -90,8 +68,8 @@ class SweepService {
  public:
   explicit SweepService(const SweepServiceOptions& options);
 
-  bool ok() const;
-  std::string error() const;
+  bool ok() const { return cache_->ok(); }
+  const std::string& error() const { return cache_->error(); }
 
   // Runs one submission, streaming wire events through `emit` (called only
   // from this thread; pass {} to disable). Returns false on error with
@@ -109,7 +87,6 @@ class SweepService {
   void set_round_stats(std::function<void(const SweepRoundStats&)> hook);
 
   ResultCache* cache() { return cache_.get(); }
-  Spool* spool() { return spool_.get(); }
   const ServiceCounters& counters() const { return counters_; }
   const std::string& git_rev() const { return git_rev_; }
 
@@ -117,7 +94,6 @@ class SweepService {
   SweepServiceOptions options_;
   std::string git_rev_;
   std::unique_ptr<ResultCache> cache_;
-  std::unique_ptr<Spool> spool_;  // null when not sharded
   std::function<void(const SweepRoundStats&)> round_stats_;
   ServiceCounters counters_;
 };

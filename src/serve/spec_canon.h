@@ -13,9 +13,8 @@
 // Two levels of key:
 //
 //   * The sweep key identifies a whole submitted grid (used as the stream id
-//     in wire events and for spool namespacing). It covers everything that
-//     shapes the result document, including policy order and the
-//     observability flag.
+//     in wire events). It covers everything that shapes the result document,
+//     including policy order and the observability flag.
 //   * The cell key identifies one simulation: the spec-addressable machine
 //     and engine fields, the policy, the (mix, replication) coordinates, the
 //     derived seed — plus the cache entry schema version and the git
@@ -64,8 +63,8 @@ std::string CanonicalCellText(const SweepSpec& spec, PolicyKind policy, int mix_
                               const std::string& git_rev);
 
 // 32-hex-digit content address for one cell (two independent FNV-1a digests
-// of CanonicalCellText), used as the cache file name and the spool task
-// name. Collision probability is negligible at any plausible cache size.
+// of CanonicalCellText), used as the cache file name. Collision probability
+// is negligible at any plausible cache size.
 std::string CellKey(const SweepSpec& spec, PolicyKind policy, int mix_number,
                     std::size_t replication, uint64_t seed);
 std::string CellKeyWithRev(const SweepSpec& spec, PolicyKind policy, int mix_number,

@@ -32,10 +32,6 @@ bool ParseWireRequest(const std::string& line, WireRequest* request, std::string
   if (spec != nullptr && spec->IsString()) {
     request->spec = spec->string_value;
   }
-  const JsonValue* jobs = doc.Get("jobs");
-  if (jobs != nullptr && jobs->IsNumber()) {
-    request->jobs = static_cast<std::size_t>(jobs->AsUint64());
-  }
   return true;
 }
 

@@ -8,13 +8,13 @@
 //
 //   -> {"op":"ping"}
 //   <- {"event":"pong","git_rev":"abc123"}
-//   -> {"op":"submit","spec":"smoke;reps=2","jobs":4}
+//   -> {"op":"submit","spec":"smoke;reps=2"}
 //   <- {"event":"planned","sweep":"1f2e...","name":"smoke;reps=2","cells_min":12}
 //   <- {"event":"cell","sweep":"1f2e...","policy":"equi","mix":1,"rep":0,
 //       "seed":...,"source":"sim"}            (one per cell, fold order;
-//                                              "source" is "cache"/"sim"/"remote")
+//                                              "source" is "cache" or "sim")
 //   <- {"event":"result","sweep":"1f2e...","cells":12,"hits":0,"executed":12,
-//       "remote":0,"json":"<the full schema-v1/v3 sweep document, escaped>"}
+//       "json":"<the full schema-v1/v3 sweep document, escaped>"}
 //   <- {"event":"done","sweep":"1f2e..."}
 //   -> {"op":"stats"}
 //   <- {"event":"stats","git_rev":...,"cache":{...},"service":{...}}
@@ -23,12 +23,11 @@
 //
 // The embedded "json" document is byte-identical to what the batch runner
 // (`simctl --sweep`) writes for the same spec — the serving layer adds
-// caching and sharding around the simulation, never inside it.
+// caching around the simulation, never inside it.
 
 #ifndef SRC_SERVE_WIRE_H_
 #define SRC_SERVE_WIRE_H_
 
-#include <cstddef>
 #include <string>
 
 namespace affsched {
@@ -36,7 +35,6 @@ namespace affsched {
 struct WireRequest {
   std::string op;    // "submit", "stats", "ping", "shutdown"
   std::string spec;  // submit only: a ParseSweepSpec string
-  std::size_t jobs = 0;  // submit only: worker threads (0 = server default)
 };
 
 // Parses one request line. Unknown ops parse fine (the daemon answers them

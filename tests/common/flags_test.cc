@@ -66,15 +66,33 @@ TEST(FlagsTest, HelpRequested) {
 }
 
 TEST(FlagsTest, UnknownFlagFails) {
-  FlagSet flags = MakeSet();
-  EXPECT_FALSE(ParseArgs(flags, {"--bogus=1"}));
-  EXPECT_NE(flags.error().find("unknown flag"), std::string::npos);
+  for (const char* arg : {"--bogus=1", "--bogus"}) {
+    FlagSet flags = MakeSet();
+    EXPECT_FALSE(ParseArgs(flags, {arg})) << arg;
+    EXPECT_NE(flags.error().find("unknown flag --bogus"), std::string::npos) << arg;
+  }
 }
 
 TEST(FlagsTest, BadIntegerFails) {
   FlagSet flags = MakeSet();
   EXPECT_FALSE(ParseArgs(flags, {"--procs=abc"}));
   EXPECT_NE(flags.error().find("expects an integer"), std::string::npos);
+}
+
+TEST(FlagsTest, NumbersAreReadStrictly) {
+  // Flags share the spec grammar's reader: the whole value, finite, in range.
+  for (const char* arg :
+       {"--procs=", "--procs=8x", "--procs= 8", "--procs=+8", "--procs=1.5",
+        "--procs=9223372036854775808", "--precision=inf", "--precision=-inf",
+        "--precision=nan", "--precision=0.5x", "--precision=1e999", "--precision="}) {
+    FlagSet flags = MakeSet();
+    EXPECT_FALSE(ParseArgs(flags, {arg})) << arg;
+    EXPECT_NE(flags.error().find("expects"), std::string::npos) << arg;
+  }
+  FlagSet flags = MakeSet();
+  EXPECT_TRUE(ParseArgs(flags, {"--procs=-1", "--precision=-2.5e-3"}));
+  EXPECT_EQ(flags.GetInt("procs"), -1);  // sign checks belong to the binary
+  EXPECT_DOUBLE_EQ(flags.GetDouble("precision"), -2.5e-3);
 }
 
 TEST(FlagsTest, BadBooleanFails) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "src/machine/machine.h"
@@ -52,6 +53,25 @@ TEST(MachineValidateTest, NonPositiveSpeedIsRejected) {
   EXPECT_FALSE(config.Validate().empty());
   config.processor_speed = std::nan("");
   EXPECT_FALSE(config.Validate().empty());
+}
+
+TEST(MachineValidateTest, FactorsAreBoundedToAFiniteRange) {
+  // Far outside [2^-10, 2^10], scaled durations overflow the integer clock.
+  for (const double factor : {1e-300, 1e300, 1.0 / 2048.0, 2048.0,
+                              std::numeric_limits<double>::infinity()}) {
+    MachineConfig config;
+    config.processor_speed = factor;
+    EXPECT_NE(config.Validate().find("processor_speed"), std::string::npos) << factor;
+    config = MachineConfig{};
+    config.cache_size_factor = factor;
+    EXPECT_NE(config.Validate().find("cache_size_factor"), std::string::npos) << factor;
+  }
+  for (const double factor : {1.0 / 1024.0, 64.0, 1024.0}) {
+    MachineConfig config;
+    config.processor_speed = factor;
+    config.cache_size_factor = factor;
+    EXPECT_EQ(config.Validate(), "") << factor;
+  }
 }
 
 TEST(MachineValidateTest, TopologyProblemsSurfaceThroughMachineValidate) {

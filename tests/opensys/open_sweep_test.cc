@@ -77,7 +77,9 @@ TEST(OpenSweepSpecTest, MalformedSpecsRejected) {
         "opensys-smoke;cache=nan", "opensys-smoke;topology=numa-4x8,remote=nan",
         "opensys-smoke;seed=abc", "opensys-smoke;procs=8x", "opensys-smoke;colors=abc",
         "opensys-smoke;count=12x", "opensys-smoke;reps=0", "opensys-smoke;mpl-cap=-1",
-        "opensys-smoke;max-queue=1.5", "opensys-smoke;warmup=nan", "opensys-smoke;burst=1"}) {
+        "opensys-smoke;max-queue=1.5", "opensys-smoke;warmup=nan", "opensys-smoke;burst=1",
+        "opensys-smoke;burst=1e300;arrivals=onoff", "opensys-smoke;burst=1001",
+        "opensys-smoke;speed=1e-300", "opensys-smoke;cache=1e300"}) {
     OpenSweepSpec spec;
     std::string error;
     EXPECT_FALSE(ParseOpenSweepSpec(text, &spec, &error)) << text;

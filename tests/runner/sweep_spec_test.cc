@@ -84,7 +84,9 @@ TEST(SweepSpecTest, RejectsMalformedSpecs) {
         "smoke;seed=abc", "smoke;seed=-1", "smoke;seed=18446744073709551616", "smoke;procs=8x",
         "smoke;colors=abc", "smoke;colors=65", "smoke;policies=equi,", "smoke;mixes=1,",
         "smoke;steal=,numa", "smoke;reps=2-", "smoke;reps=1.5", "smoke;precision=nan",
-        "smoke;balance-interval=nan", "smoke;balance-interval=-5", "smoke;rt=2"}) {
+        "smoke;balance-interval=nan", "smoke;balance-interval=-5", "smoke;rt=2",
+        "smoke;speed=1e-300", "smoke;speed=1e300", "smoke;cache=1e-300", "smoke;cache=1e300",
+        "smoke;balance-interval=1e300", "smoke;balance-interval=1000001"}) {
     SweepSpec spec;
     std::string error;
     EXPECT_FALSE(ParseSweepSpec(text, &spec, &error)) << text;

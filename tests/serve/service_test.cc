@@ -5,13 +5,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/apps/apps.h"
 #include "src/runner/runner.h"
 #include "src/serve/jsonv.h"
-#include "src/serve/spool.h"
 
 namespace affsched {
 namespace {
@@ -24,9 +22,7 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-// Small profiles so unit-test submissions are fast. The spool/shard tests
-// can't use this: workers reconstruct jobs from the spec-addressable fields,
-// which always mean the full-size default profiles.
+// Small profiles so unit-test submissions are fast.
 SweepSpec TinySpec() {
   SweepSpec spec;
   spec.name = "tiny";
@@ -189,91 +185,6 @@ TEST(SweepServiceTest, StreamsPlannedCellsResultDone) {
     }
   }
   EXPECT_EQ(cached_cells, outcome.cells);
-}
-
-TEST(SweepServiceTest, ShardWorkersResolveEveryCell) {
-  // Full-size profiles: the worker rebuilds the cell's inputs from the task
-  // file alone, which always means the default profiles — so keep the grid
-  // minimal (1 policy x 1 mix x 2 reps).
-  SweepSpec spec;
-  std::string error;
-  ASSERT_TRUE(ParseSweepSpec("smoke;mixes=1;policies=equi;reps=2", &spec, &error)) << error;
-
-  // Unsharded golden document first, in its own cache.
-  SubmitOutcome golden;
-  {
-    SweepService service(TinyOptions(FreshDir("shard-golden")));
-    ASSERT_TRUE(service.Submit(spec, {}, &golden, &error)) << error;
-  }
-
-  SweepServiceOptions options = TinyOptions(FreshDir("shard-cache"));
-  options.spool_dir = FreshDir("shard-spool");
-  options.shard_local_execution = false;  // every cell must be resolved remotely
-  SweepService service(options);
-  ASSERT_TRUE(service.ok()) << service.error();
-
-  // Two in-process "worker daemons" sharing the spool and cache.
-  ResultCache worker_cache({options.cache_dir, 0});
-  Spool worker_spool(options.spool_dir);
-  SpoolWorkerOptions worker_options;
-  worker_options.idle_timeout_s = 10.0;
-  size_t executed_a = 0, executed_b = 0;
-  std::thread worker_a([&] { executed_a = RunSpoolWorker(&worker_spool, &worker_cache,
-                                                         worker_options); });
-  std::thread worker_b([&] { executed_b = RunSpoolWorker(&worker_spool, &worker_cache,
-                                                         worker_options); });
-
-  SubmitOutcome outcome;
-  ASSERT_TRUE(service.Submit(spec, {}, &outcome, &error)) << error;
-  worker_spool.RequestStop();
-  worker_a.join();
-  worker_b.join();
-
-  EXPECT_EQ(outcome.cells, 2u);
-  EXPECT_EQ(outcome.remote, 2u);
-  EXPECT_EQ(outcome.executed, 0u);
-  EXPECT_EQ(executed_a + executed_b, 2u);
-  EXPECT_EQ(outcome.json, golden.json);
-  EXPECT_EQ(service.counters().cells_remote.load(), 2u);
-  EXPECT_EQ(service.counters().cells_executed.load(), 0u);
-}
-
-TEST(SweepServiceTest, SpoolClaimsAreExactlyOnce) {
-  const std::string dir = FreshDir("spool");
-  Spool spool(dir);
-  ASSERT_TRUE(spool.ok()) << spool.error();
-  SweepSpec spec;
-  std::string error;
-  ASSERT_TRUE(ParseSweepSpec("smoke;mixes=1;policies=equi;reps=2", &spec, &error));
-
-  SpoolTask task = Spool::MakeTask("aaaa", spec, PolicyKind::kEquipartition, 1, 0, 42);
-  ASSERT_TRUE(spool.Offer(task));
-  ASSERT_TRUE(spool.Offer(task));  // re-offer is a no-op
-  EXPECT_EQ(spool.PendingCount(), 1u);
-
-  EXPECT_TRUE(spool.TryClaimKey("aaaa"));   // first claim wins
-  EXPECT_FALSE(spool.TryClaimKey("aaaa"));  // second loses
-  EXPECT_EQ(spool.PendingCount(), 0u);
-  SpoolTask claimed;
-  EXPECT_FALSE(spool.ClaimNext(&claimed));  // nothing left to claim
-  EXPECT_TRUE(spool.FinishKey("aaaa"));
-
-  // A round-tripped task reconstructs the simulation inputs.
-  ASSERT_TRUE(spool.Offer(task));
-  ASSERT_TRUE(spool.ClaimNext(&claimed));
-  EXPECT_EQ(claimed.key, "aaaa");
-  MachineConfig machine;
-  EngineOptions engine;
-  PolicyKind policy;
-  std::vector<AppProfile> jobs;
-  ASSERT_TRUE(Spool::TaskInputs(claimed, &machine, &engine, &policy, &jobs, &error)) << error;
-  EXPECT_EQ(machine.num_processors, spec.machine.num_processors);
-  EXPECT_EQ(policy, PolicyKind::kEquipartition);
-  EXPECT_FALSE(jobs.empty());
-
-  EXPECT_FALSE(spool.StopRequested());
-  EXPECT_TRUE(spool.RequestStop());
-  EXPECT_TRUE(spool.StopRequested());
 }
 
 TEST(SweepServiceTest, BadCacheDirectoryFailsClosed) {

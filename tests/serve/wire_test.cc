@@ -16,16 +16,14 @@ namespace {
 TEST(WireTest, ParsesRequests) {
   WireRequest request;
   std::string error;
-  ASSERT_TRUE(ParseWireRequest("{\"op\":\"submit\",\"spec\":\"smoke;reps=2\",\"jobs\":4}",
-                               &request, &error));
+  ASSERT_TRUE(
+      ParseWireRequest("{\"op\":\"submit\",\"spec\":\"smoke;reps=2\"}", &request, &error));
   EXPECT_EQ(request.op, "submit");
   EXPECT_EQ(request.spec, "smoke;reps=2");
-  EXPECT_EQ(request.jobs, 4u);
 
   ASSERT_TRUE(ParseWireRequest("{\"op\":\"ping\"}", &request, &error));
   EXPECT_EQ(request.op, "ping");
   EXPECT_EQ(request.spec, "");
-  EXPECT_EQ(request.jobs, 0u);
 }
 
 TEST(WireTest, RejectsMalformedRequests) {

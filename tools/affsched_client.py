@@ -9,7 +9,7 @@ do, any language with sockets and a JSON library can do too.
 Usage:
   tools/affsched_client.py --socket /tmp/aff.sock ping
   tools/affsched_client.py --socket /tmp/aff.sock submit "smoke;reps=2" \
-      [--jobs 4] [--out result.json] [--quiet]
+      [--out result.json] [--quiet]
   tools/affsched_client.py --socket /tmp/aff.sock stats
   tools/affsched_client.py --socket /tmp/aff.sock shutdown
 
@@ -17,7 +17,7 @@ Usage:
 a terminal "done" event. With --out, the embedded result document — byte-
 identical to `simctl --sweep` output for the same spec — is saved verbatim.
 `submit` prints one summary JSON object to stdout:
-  {"cells": N, "hits": N, "executed": N, "remote": N}
+  {"cells": N, "hits": N, "executed": N}
 """
 
 import argparse
@@ -65,10 +65,7 @@ def one_shot(channel, request, expect_event):
 
 
 def submit(channel, args):
-    request = {"op": "submit", "spec": args.spec}
-    if args.jobs:
-        request["jobs"] = args.jobs
-    channel.send(request)
+    channel.send({"op": "submit", "spec": args.spec})
     summary = None
     while True:
         event = channel.recv()
@@ -82,7 +79,7 @@ def submit(channel, args):
         if kind in ("planned", "cell") and not args.quiet:
             print(json.dumps(event), file=sys.stderr)
         if kind == "result":
-            summary = {k: event.get(k, 0) for k in ("cells", "hits", "executed", "remote")}
+            summary = {k: event.get(k, 0) for k in ("cells", "hits", "executed")}
             if args.out:
                 with open(args.out, "w") as f:
                     f.write(event["json"])
@@ -101,7 +98,6 @@ def main():
     sub = parser.add_subparsers(dest="op", required=True)
     p_submit = sub.add_parser("submit", help="run a sweep spec via the daemon")
     p_submit.add_argument("spec", help="sweep spec string (same syntax as simctl --sweep)")
-    p_submit.add_argument("--jobs", type=int, default=0, help="server worker threads")
     p_submit.add_argument("--out", help="save the result JSON document here")
     p_submit.add_argument("--quiet", action="store_true", help="suppress per-cell events")
     sub.add_parser("stats", help="print cache/service counters")

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Integration tests for the affsched_served sweep daemon.
 
-Four scenarios, each driving the real daemon binary through the real
+Three scenarios, each driving the real daemon binary through the real
 reference client (tools/affsched_client.py), so the wire protocol, the
-content-addressed cache, and the crash/shard recovery paths are all
-exercised end to end:
+content-addressed cache, and the crash recovery path are all exercised end
+to end:
 
   cache-twice   Submit the same spec twice against a fresh cache: the second
                 run must be >= 95% cache hits and its saved document byte-
@@ -18,13 +18,14 @@ exercised end to end:
                 the missing ones re-simulate, and the final document must be
                 byte-identical to the golden.
 
-  shard         One coordinator (--no-local-execution) plus two --worker
-                processes sharing a spool and cache: every cell must be
-                resolved remotely and the document must still be golden.
-
-  hostile-spec  Submit specs carrying non-finite numbers: each must come back
-                as an "error" event, and the same daemon must then still
-                answer a valid submit with its result.
+  hostile-spec  Submit specs carrying non-finite or absurd numbers: each must
+                come back as an "error" event. On one raw connection, send a
+                line that is not JSON, an object without "op" and an unknown
+                op (each must get an "error" event), then a valid submit
+                that must get its result. Then a client submits and hangs up
+                after "planned": the daemon must finish and cache that sweep,
+                so the same spec resubmitted on a new connection is all
+                cache hits.
 
 Usage:
   tools/serve_integration_test.py --served BIN --mode cache-twice \
@@ -37,6 +38,7 @@ import os
 import pathlib
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -62,13 +64,6 @@ class Harness:
         self.wait_for_socket(self.path(socket_name), proc)
         return proc
 
-    def start_worker(self, *extra, cache="cache", spool="spool"):
-        cmd = [self.args.served, "--worker", "--spool", self.path(spool),
-               "--cache-dir", self.path(cache), "--worker-idle-ms", "10000"] + list(extra)
-        proc = subprocess.Popen(cmd, stderr=subprocess.PIPE)
-        self.procs.append(proc)
-        return proc
-
     def wait_for_socket(self, path, proc, timeout=30.0):
         deadline = time.time() + timeout
         while time.time() < deadline:
@@ -86,8 +81,15 @@ class Harness:
             fail("client %s failed:\n%s\n%s" % (argv, result.stdout, result.stderr))
         return result
 
+    def connect(self, socket_name):
+        """A raw line-oriented connection to the daemon, for requests the
+        reference client never sends."""
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(self.path(socket_name))
+        return RawConnection(sock)
+
     def submit(self, socket_name, out_name, spec=None):
-        """Submits and returns the summary dict {cells, hits, executed, remote}."""
+        """Submits and returns the summary dict {cells, hits, executed}."""
         result = self.client(socket_name, "submit", spec or self.args.spec,
                              "--quiet", "--out", self.path(out_name))
         return json.loads(result.stdout.strip().splitlines()[-1])
@@ -100,6 +102,32 @@ class Harness:
             if proc.poll() is None:
                 proc.kill()
             proc.wait()
+
+
+class RawConnection:
+    def __init__(self, sock):
+        self.sock = sock
+        self.stream = sock.makefile("rw", encoding="utf-8", newline="\n")
+
+    def send_line(self, line):
+        try:
+            self.stream.write(line + "\n")
+            self.stream.flush()
+        except OSError as e:
+            fail("sending %r to the daemon failed: %s" % (line, e))
+
+    def next_event(self):
+        try:
+            line = self.stream.readline()
+        except OSError as e:
+            fail("reading from the daemon failed: %s" % e)
+        if not line:
+            fail("daemon closed the connection")
+        return json.loads(line)
+
+    def close(self):
+        self.stream.close()
+        self.sock.close()
 
 
 def fail(message):
@@ -193,47 +221,62 @@ def mode_kill_resume(harness):
           "document matches golden" % (survivors, total, resumed["executed"]))
 
 
-def mode_shard(harness):
-    workers = [harness.start_worker(), harness.start_worker()]
-    harness.start_daemon("--spool", harness.path("spool"), "--no-local-execution")
-    summary = harness.submit("daemon.sock", "sharded.json")
-    if summary["remote"] != summary["cells"] or summary["executed"] != 0:
-        fail("coordinator simulated cells itself: %s" % summary)
-    second = harness.submit("daemon.sock", "sharded2.json")
-    if second["hits"] != second["cells"]:
-        fail("sharded results not cached: %s" % second)
-    harness.shutdown("daemon.sock")
-    if read_bytes(harness.path("sharded.json")) != read_bytes(harness.path("sharded2.json")):
-        fail("sharded document not stable across submissions")
-    if harness.args.simctl:
-        if read_bytes(harness.path("sharded.json")) != batch_golden(harness, "batch.json"):
-            fail("sharded document differs from simctl --sweep")
-    for worker in workers:
-        if worker.wait(timeout=60) != 0:
-            fail("worker exited nonzero: %s" % worker.stderr.read().decode())
-    print("shard: %d/%d cells executed by workers, document golden"
-          % (summary["remote"], summary["cells"]))
-
-
 def mode_hostile_spec(harness):
     daemon = harness.start_daemon()
-    for spec in ("smoke;speed=nan", "smoke;cache=nan", "smoke;topology=numa-4x8,remote=nan"):
+
+    def check_alive(after):
+        if daemon.poll() is not None:
+            fail("daemon exited after %s" % after)
+
+    for spec in ("smoke;speed=nan", "smoke;cache=nan", "smoke;topology=numa-4x8,remote=nan",
+                 "smoke;reps=1;speed=1e-300", "smoke;reps=1;speed=1e300"):
         result = harness.client("daemon.sock", "submit", spec, "--quiet", check=False)
         if result.returncode == 0 or "server error:" not in result.stderr:
             fail("%s was not answered with an error event:\n%s" % (spec, result.stderr))
-        if daemon.poll() is not None:
-            fail("daemon exited after %s" % spec)
-    summary = harness.submit("daemon.sock", "valid.json", spec="smoke;reps=1")
+        check_alive(spec)
+
+    # Malformed requests among valid ones, all on one connection.
+    conn = harness.connect("daemon.sock")
+    for line in ("this is not json", '{"spec":"smoke"}', '{"op":"frobnicate"}'):
+        conn.send_line(line)
+        event = conn.next_event()
+        if event.get("event") != "error":
+            fail("request %r was answered with %s" % (line, event))
+    conn.send_line(json.dumps({"op": "submit", "spec": "smoke;reps=1"}))
+    while True:
+        event = conn.next_event()
+        if event.get("event") == "error":
+            fail("valid submit after malformed requests failed: %s" % event)
+        if event.get("event") == "result":
+            break
+    conn.close()
+    if event["cells"] == 0:
+        fail("valid submit after malformed requests returned no cells: %s" % event)
+    check_alive("malformed requests")
+
+    # A client that hangs up mid-stream: the daemon keeps serving and still
+    # finishes the abandoned sweep into the cache. Adaptive reps give the
+    # sweep two rounds, so a daemon that stopped at the hang-up would leave
+    # the second round's cells unsimulated.
+    abandoned = "smoke;reps=1-2;seed=11"
+    conn = harness.connect("daemon.sock")
+    conn.send_line(json.dumps({"op": "submit", "spec": abandoned}))
+    event = conn.next_event()
+    if event.get("event") != "planned":
+        fail("submit did not start with a planned event: %s" % event)
+    conn.close()
+    summary = harness.submit("daemon.sock", "resubmit.json", spec=abandoned)
+    check_alive("a client hung up mid-stream")
     harness.shutdown("daemon.sock")
-    if summary["cells"] == 0:
-        fail("valid submit after hostile specs returned no cells: %s" % summary)
-    print("hostile-spec: hostile specs rejected, then %d cells served" % summary["cells"])
+    if summary["cells"] == 0 or summary["hits"] != summary["cells"]:
+        fail("abandoned sweep was not finished into the cache: %s" % summary)
+    print("hostile-spec: hostile specs and malformed requests rejected, "
+          "abandoned sweep cached (%d/%d hits on resubmit)" % (summary["hits"], summary["cells"]))
 
 
 MODES = {
     "cache-twice": mode_cache_twice,
     "kill-resume": mode_kill_resume,
-    "shard": mode_shard,
     "hostile-spec": mode_hostile_spec,
 }
 
