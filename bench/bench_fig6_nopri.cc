@@ -6,23 +6,32 @@
 // jobs — sacrificing the priority/fairness scheme for affinity lets some jobs
 // hoard processors while others starve. This is why the paper calls it an
 // artificial policy and eliminates it from consideration.
+//
+// The grid is the fig5 grid with this figure's policies; the same spec runs
+// as `simctl --sweep='<kSpec>'`.
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
-#include "src/apps/apps.h"
+#include "src/common/check.h"
 #include "src/common/table.h"
-#include "src/measure/experiment.h"
+#include "src/runner/runner.h"
+#include "src/runner/sweep.h"
 
 using namespace affsched;
 
-int main() {
-  const MachineConfig machine = PaperMachineConfig();
-  const std::vector<AppProfile> apps = DefaultProfiles();
+namespace {
 
-  ReplicationOptions rep;
-  rep.min_replications = 3;
-  rep.max_replications = 5;
+constexpr const char* kSpec = "fig5;policies=equi,dyn-aff-nopri,dyn-aff;seed=2000";
+
+}  // namespace
+
+int main() {
+  SweepSpec spec;
+  std::string error;
+  AFF_CHECK_MSG(ParseSweepSpec(kSpec, &spec, &error), error.c_str());
+  const SweepResult grid = SweepRunner().Run(spec);
 
   std::printf("=== Figure 6: Dyn-Aff-NoPri relative to Equipartition ===\n\n");
 
@@ -34,15 +43,11 @@ int main() {
   double min_rel_fig5 = 1e9;
   double max_rel_fig5 = 0.0;
 
-  for (const WorkloadMix& mix : PaperMixes()) {
-    const std::vector<AppProfile> jobs = mix.Expand(apps);
-    const ReplicatedResult equi =
-        RunReplicated(machine, PolicyKind::kEquipartition, jobs, 2000 + mix.number, rep);
-    const ReplicatedResult nopri =
-        RunReplicated(machine, PolicyKind::kDynAffNoPri, jobs, 2000 + mix.number, rep);
-    const ReplicatedResult dynaff =
-        RunReplicated(machine, PolicyKind::kDynAff, jobs, 2000 + mix.number, rep);
-    for (size_t j = 0; j < jobs.size(); ++j) {
+  for (const WorkloadMix& mix : spec.mixes) {
+    const ReplicatedResult& equi = grid.Find(PolicyKind::kEquipartition, mix.number)->replicated;
+    const ReplicatedResult& nopri = grid.Find(PolicyKind::kDynAffNoPri, mix.number)->replicated;
+    const ReplicatedResult& dynaff = grid.Find(PolicyKind::kDynAff, mix.number)->replicated;
+    for (size_t j = 0; j < equi.app.size(); ++j) {
       const double rel = nopri.MeanResponse(j) / equi.MeanResponse(j);
       min_rel = std::min(min_rel, rel);
       max_rel = std::max(max_rel, rel);

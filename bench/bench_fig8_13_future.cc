@@ -47,7 +47,6 @@ int main(int argc, char** argv) {
 
   SweepSpec spec = FutureSpec();
   spec.root_seed = static_cast<uint64_t>(flags.GetInt("seed"));
-  options.replication = spec.replication;
 
   SweepRunnerOptions runner_options;
   runner_options.jobs = static_cast<size_t>(flags.GetInt("jobs"));
@@ -62,13 +61,7 @@ int main(int argc, char** argv) {
 
   for (const WorkloadMix& mix : spec.mixes) {
     std::printf("--- Figure %d: workload %s ---\n", 7 + mix.number, mix.Label().c_str());
-    const ReplicatedResult& equi =
-        grid.Find(PolicyKind::kEquipartition, mix.number)->replicated;
-    std::vector<std::pair<PolicyKind, const ReplicatedResult*>> runs;
-    for (PolicyKind policy : options.policies) {
-      runs.emplace_back(policy, &grid.Find(policy, mix.number)->replicated);
-    }
-    const FutureSweepResult result = FutureSweepFromRuns(equi, runs, penalties, options);
+    const FutureSweepResult result = FutureSweepFromRuns(grid, mix.number, penalties, options);
 
     TextTable table;
     std::vector<std::string> header = {"policy", "job"};
@@ -126,7 +119,11 @@ int main(int argc, char** argv) {
       "dynamic family remains at or below Equipartition until far-future\n"
       "machines (crossovers orders of magnitude beyond current technology).\n");
 
-  if (!flags.GetString("out").empty() && grid.WriteJsonFile(flags.GetString("out"))) {
+  if (!flags.GetString("out").empty()) {
+    if (!grid.WriteJsonFile(flags.GetString("out"))) {
+      std::printf("failed to write %s\n", flags.GetString("out").c_str());
+      return 1;
+    }
     std::printf("wrote sweep results to %s\n", flags.GetString("out").c_str());
   }
   return 0;

@@ -17,10 +17,12 @@
 #include <cstdio>
 
 #include "src/apps/apps.h"
+#include "src/common/check.h"
 #include "src/common/table.h"
 #include "src/measure/experiment.h"
 #include "src/model/future_sweep.h"
 #include "src/model/response_model.h"
+#include "src/runner/runner.h"
 
 using namespace affsched;
 
@@ -57,13 +59,15 @@ int main() {
 
   std::printf("--- Figure 7 extrapolation vs direct simulation (workload #5) ---\n");
   const WorkloadMix mix{.number = 5, .mva = 0, .matrix = 1, .gravity = 1};
+  SweepSpec spec;
+  std::string error;
+  AFF_CHECK_MSG(ParseSweepSpec("fig5;policies=equi,dynamic;mixes=5;reps=2;seed=99", &spec, &error),
+                error.c_str());
   FutureSweepOptions options;
   options.products = {1, 16, 256};
   options.policies = {PolicyKind::kDynamic};
-  options.replication.min_replications = 2;
-  options.replication.max_replications = 2;
   const FutureSweepResult sweep =
-      SweepFutureMachines(machine, mix, apps, PaperPenaltyTable(), 99, options);
+      FutureSweepFromRuns(SweepRunner().Run(spec), mix.number, PaperPenaltyTable(), options);
 
   TextTable table2;
   table2.SetHeader({"product", "job", "model rel. RT", "simulated rel. RT"});

@@ -97,7 +97,11 @@ int main(int argc, char** argv) {
       "variants; Dyn-Aff-Delay reduces #reallocations and lengthens the\n"
       "reallocation interval; response times are essentially unchanged.\n");
 
-  if (!flags.GetString("out").empty() && result.WriteJsonFile(flags.GetString("out"))) {
+  if (!flags.GetString("out").empty()) {
+    if (!result.WriteJsonFile(flags.GetString("out"))) {
+      std::printf("failed to write %s\n", flags.GetString("out").c_str());
+      return 1;
+    }
     std::printf("wrote sweep results to %s\n", flags.GetString("out").c_str());
   }
   return 0;

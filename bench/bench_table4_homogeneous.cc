@@ -9,43 +9,48 @@
 // Shape to reproduce: sacrificing the priority scheme for affinity buys a
 // negligible improvement at best (workload 1) and a degradation at worst
 // (workload 4) — not worth the gross unfairness Figure 6 shows.
+//
+// Only mixes 1 and 4 hold a single application, so only there is a mean
+// across jobs meaningful. The same spec runs as `simctl --sweep='<kSpec>'`.
 
 #include <cstdio>
+#include <string>
 
-#include "src/apps/apps.h"
+#include "src/common/check.h"
 #include "src/common/table.h"
-#include "src/measure/experiment.h"
+#include "src/runner/runner.h"
+#include "src/runner/sweep.h"
 
 using namespace affsched;
 
-int main() {
-  const MachineConfig machine = PaperMachineConfig();
-  const std::vector<AppProfile> apps = DefaultProfiles();
+namespace {
 
-  ReplicationOptions rep;
-  rep.min_replications = 4;
-  rep.max_replications = 8;
+constexpr const char* kSpec = "fig5;policies=dyn-aff,dyn-aff-nopri;mixes=1,4;reps=4-8;seed=4000";
+
+double MeanResponse(const SweepResult& grid, PolicyKind policy, int mix_number) {
+  const ReplicatedResult& result = grid.Find(policy, mix_number)->replicated;
+  double total = 0.0;
+  for (size_t j = 0; j < result.app.size(); ++j) {
+    total += result.MeanResponse(j);
+  }
+  return total / static_cast<double>(result.app.size());
+}
+
+}  // namespace
+
+int main() {
+  SweepSpec spec;
+  std::string error;
+  AFF_CHECK_MSG(ParseSweepSpec(kSpec, &spec, &error), error.c_str());
+  const SweepResult grid = SweepRunner().Run(spec);
 
   std::printf("=== Table 4: mean job response time, homogeneous workloads ===\n\n");
 
   TextTable table;
   table.SetHeader({"workload", "Dyn-Aff (s)", "Dyn-Aff-NoPri (s)"});
-
-  for (const WorkloadMix& mix : PaperMixes()) {
-    if (!IsHomogeneous(mix)) {
-      continue;
-    }
-    const std::vector<AppProfile> jobs = mix.Expand(apps);
-    auto mean_rt = [&](PolicyKind kind) {
-      const ReplicatedResult r = RunReplicated(machine, kind, jobs, 4000 + mix.number, rep);
-      double total = 0.0;
-      for (size_t j = 0; j < jobs.size(); ++j) {
-        total += r.MeanResponse(j);
-      }
-      return total / static_cast<double>(jobs.size());
-    };
-    table.AddRow({mix.Label(), FormatDouble(mean_rt(PolicyKind::kDynAff), 2),
-                  FormatDouble(mean_rt(PolicyKind::kDynAffNoPri), 2)});
+  for (const WorkloadMix& mix : spec.mixes) {
+    table.AddRow({mix.Label(), FormatDouble(MeanResponse(grid, PolicyKind::kDynAff, mix.number), 2),
+                  FormatDouble(MeanResponse(grid, PolicyKind::kDynAffNoPri, mix.number), 2)});
   }
   std::printf("%s\n", table.Render().c_str());
   std::printf(

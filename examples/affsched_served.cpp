@@ -90,6 +90,10 @@ bool ServeConnection(int fd, SweepService* service, HeartbeatWriter* heartbeat) 
       channel.WriteLine(WireErrorEvent("unknown op: " + request.op));
     }
   }
+  if (channel.overlong()) {
+    channel.WriteLine(WireErrorEvent("request line longer than " +
+                                     std::to_string(kMaxLineBytes) + " bytes"));
+  }
   return true;
 }
 

@@ -19,9 +19,11 @@
 #include <cstdio>
 
 #include "src/apps/apps.h"
+#include "src/common/check.h"
 #include "src/common/table.h"
 #include "src/measure/experiment.h"
 #include "src/model/future_sweep.h"
+#include "src/runner/runner.h"
 
 using namespace affsched;
 
@@ -48,14 +50,17 @@ int main() {
   std::printf("Workload #5 (1 MATRIX + 1 GRAVITY), Dynamic vs Equipartition,\n");
   std::printf("as the speed x cache product grows:\n\n");
 
-  // Path 1: the analytic model.
+  // Path 1: the analytic model, parameterised from two replications of the
+  // mix on today's machine.
+  SweepSpec spec;
+  std::string error;
+  AFF_CHECK_MSG(ParseSweepSpec("fig5;policies=equi,dynamic;mixes=5;reps=2;seed=42", &spec, &error),
+                error.c_str());
   FutureSweepOptions options;
   options.products = {1, 16, 256, 4096};
   options.policies = {PolicyKind::kDynamic};
-  options.replication.min_replications = 2;
-  options.replication.max_replications = 2;
-  const FutureSweepResult model = SweepFutureMachines(PaperMachineConfig(), mix, apps,
-                                                      PaperPenaltyTable(), 42, options);
+  const FutureSweepResult model =
+      FutureSweepFromRuns(SweepRunner().Run(spec), mix.number, PaperPenaltyTable(), options);
 
   // Path 2: direct simulation of the future machine.
   TextTable table;

@@ -357,7 +357,7 @@ int main(int argc, char** argv) {
                 "print event-core statistics (pool high-water mark, events/sec)");
   flags.AddString("sweep", "",
                   "run an experiment grid instead of one simulation: a preset "
-                  "(fig5, table3, future, smoke, mq) or key=value spec; see README");
+                  "(fig5, table3, future, smoke, mq, rt) or key=value spec; see README");
   flags.AddInt("jobs", 0, "sweep worker threads (0 = hardware concurrency)");
   flags.AddString("out", "", "write sweep results JSON here");
   flags.AddBool("progress", false,

@@ -83,7 +83,6 @@ bool ExactCache::InvalidateBlock(CacheOwner owner, uint64_t block) {
     resident_.erase(it);
   }
   --occupied_;
-  ++invalidated_lines_;
   *line = Line{};
   return true;
 }
@@ -98,7 +97,6 @@ size_t ExactCache::InvalidateOwner(CacheOwner owner) {
   }
   if (invalidated > 0) {
     occupied_ -= invalidated;
-    invalidated_lines_ += invalidated;
     resident_.erase(owner);
   }
   return invalidated;
@@ -107,7 +105,6 @@ size_t ExactCache::InvalidateOwner(CacheOwner owner) {
 void ExactCache::Flush() {
   std::fill(lines_.begin(), lines_.end(), Line{});
   resident_.clear();
-  invalidated_lines_ += occupied_;
   occupied_ = 0;
 }
 
@@ -119,7 +116,6 @@ size_t ExactCache::ResidentLines(CacheOwner owner) const {
 void ExactCache::ResetCounters() {
   hits_ = 0;
   misses_ = 0;
-  invalidated_lines_ = 0;
 }
 
 }  // namespace affsched

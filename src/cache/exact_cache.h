@@ -60,9 +60,6 @@ class ExactCache {
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
-  // Lines removed by InvalidateBlock/InvalidateOwner/Flush — the cache's
-  // share of invalidation traffic (exported via telemetry/cache_metrics).
-  uint64_t invalidated_lines() const { return invalidated_lines_; }
   void ResetCounters();
 
  private:
@@ -84,7 +81,6 @@ class ExactCache {
   uint64_t stamp_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
-  uint64_t invalidated_lines_ = 0;
 };
 
 }  // namespace affsched

@@ -15,6 +15,9 @@ std::string MachineConfig::Validate() const {
   if (num_processors == 0) {
     return "machine requires at least one processor (procs=0)";
   }
+  if (num_processors > kMaxProcessors) {
+    return "machine supports at most " + std::to_string(kMaxProcessors) + " processors";
+  }
   if (geometry.line_bytes == 0 || geometry.total_bytes == 0 || geometry.TotalLines() == 0) {
     return "cache geometry has zero capacity (line_bytes/total_bytes)";
   }

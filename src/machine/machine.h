@@ -26,6 +26,11 @@
 
 namespace affsched {
 
+// Upper bound on MachineConfig::num_processors (Validate): four times the
+// largest machine any experiment here simulates (P = 1024), and small enough
+// that per-processor state cannot exhaust memory.
+inline constexpr size_t kMaxProcessors = 4096;
+
 // Which CacheModel implementation each processor's private cache uses.
 enum class CacheModelKind {
   kFootprint,    // analytic working-set model (the experiments' default)
@@ -62,7 +67,8 @@ struct MachineConfig {
   TopologySpec topology;
 
   // Returns an empty string if the configuration is buildable, else a
-  // human-readable error (zero processors, zero-capacity cache levels, ...).
+  // human-readable error (zero or more than kMaxProcessors processors,
+  // zero-capacity cache levels, ...).
   // Machine's constructor enforces this; parsers surface it as a clean error.
   std::string Validate() const;
 

@@ -134,19 +134,4 @@ ReplicatedResult ReplicationFolder::Finish() const {
   return result;
 }
 
-ReplicatedResult RunReplicated(const MachineConfig& machine, PolicyKind policy_kind,
-                               const std::vector<AppProfile>& jobs, uint64_t base_seed,
-                               const ReplicationOptions& rep_options,
-                               const Engine::Options& engine_options) {
-  ReplicationFolder folder(jobs.size());
-  while (true) {
-    folder.Fold(
-        RunOnce(machine, policy_kind, jobs, base_seed + folder.replications(), engine_options));
-    if (folder.Done(rep_options)) {
-      break;
-    }
-  }
-  return folder.Finish();
-}
-
 }  // namespace affsched

@@ -1,9 +1,10 @@
-// Experiment drivers: run workload mixes under policies with replication
-// control, as Section 6 of the paper does ("enough replications of each
-// experiment so that the 95% confidence interval is within 1% of the point
-// estimate of the mean" — we default to a slightly looser 2% bound with a
-// replication cap to keep regeneration times reasonable; both knobs are
-// configurable).
+// One simulation of a workload mix, and the replication rule of Section 6
+// of the paper ("enough replications of each experiment so that the 95%
+// confidence interval is within 1% of the point estimate of the mean" — we
+// default to a slightly looser 2% bound with a replication cap to keep
+// regeneration times reasonable; both knobs are configurable). SweepRunner
+// (src/runner/runner.h) drives every replicated experiment through
+// ReplicationFolder.
 
 #ifndef SRC_MEASURE_EXPERIMENT_H_
 #define SRC_MEASURE_EXPERIMENT_H_
@@ -57,9 +58,8 @@ struct ReplicatedResult {
 };
 
 // Incrementally folds per-replication RunResults into a ReplicatedResult.
-// Shared by the serial RunReplicated loop and the parallel sweep runner so
-// that both aggregate bit-identically: Fold() must be called in replication
-// order, and Finish() computes the same means the serial path always has.
+// Fold() must be called in replication order, so the aggregate does not
+// depend on which worker ran which replication.
 class ReplicationFolder {
  public:
   explicit ReplicationFolder(size_t num_jobs);
@@ -73,9 +73,9 @@ class ReplicationFolder {
   // Meaningless before the first Fold().
   bool Precise(const ReplicationOptions& options) const;
 
-  // True when the serial stopping rule would stop: the minimum replication
-  // count has been reached and either the precision bound holds or the cap
-  // has been hit.
+  // True when the stopping rule stops: the minimum replication count has
+  // been reached and either the precision bound holds or the cap has been
+  // hit.
   bool Done(const ReplicationOptions& options) const;
 
   // Finalizes per-job means. May be called repeatedly as folds accumulate.
@@ -87,13 +87,6 @@ class ReplicationFolder {
   ReplicatedResult result_;
   std::vector<JobStats> accum_;
 };
-
-// Replicates RunOnce with seeds base_seed, base_seed+1, ... until every job's
-// response-time CI satisfies the precision bound (or the cap is reached).
-ReplicatedResult RunReplicated(const MachineConfig& machine, PolicyKind policy_kind,
-                               const std::vector<AppProfile>& jobs, uint64_t base_seed,
-                               const ReplicationOptions& rep_options = {},
-                               const Engine::Options& engine_options = Engine::Options());
 
 }  // namespace affsched
 

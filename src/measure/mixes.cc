@@ -53,9 +53,4 @@ std::array<WorkloadMix, 6> PaperMixes() {
   }};
 }
 
-bool IsHomogeneous(const WorkloadMix& mix) {
-  const size_t kinds = (mix.mva > 0 ? 1 : 0) + (mix.matrix > 0 ? 1 : 0) + (mix.gravity > 0 ? 1 : 0);
-  return kinds == 1;
-}
-
 }  // namespace affsched

@@ -33,11 +33,6 @@ struct WorkloadMix {
 // All six mixes of Table 2, in order.
 std::array<WorkloadMix, 6> PaperMixes();
 
-// True if every job in the mix is of the same application (mixes 1 and 4) —
-// the only mixes for which a cross-job mean response time is meaningful
-// (Table 4).
-bool IsHomogeneous(const WorkloadMix& mix);
-
 }  // namespace affsched
 
 #endif  // SRC_MEASURE_MIXES_H_

@@ -34,16 +34,6 @@ void AppendJobReport(TextTable& table, const std::string& policy_label, const En
   }
 }
 
-void AppendJobReport(TextTable& table, const std::string& policy_label,
-                     const ReplicatedResult& result) {
-  for (size_t j = 0; j < result.app.size(); ++j) {
-    const JobStats& s = result.mean_stats[j];
-    // Mean stats carry (completion - arrival) accumulated into completion;
-    // AverageAllocation still derives from the averaged integral and RT.
-    table.AddRow(RowFor(policy_label, result.app[j], s, result.response[j].mean()));
-  }
-}
-
 std::string ComparePolicies(const MachineConfig& machine,
                             const std::vector<PolicyKind>& policies,
                             const std::vector<AppProfile>& jobs, uint64_t seed) {

@@ -1,6 +1,5 @@
-// Shared per-job reporting for benches and examples: renders an engine's (or
-// a replicated run's) job statistics as the standard columns used throughout
-// the experiment suite.
+// Shared per-job reporting for benches and examples: renders an engine's job
+// statistics as the standard columns used throughout the experiment suite.
 
 #ifndef SRC_MEASURE_REPORT_H_
 #define SRC_MEASURE_REPORT_H_
@@ -9,7 +8,7 @@
 
 #include "src/common/table.h"
 #include "src/engine/engine.h"
-#include "src/measure/experiment.h"
+#include "src/sched/factory.h"
 
 namespace affsched {
 
@@ -19,10 +18,6 @@ std::vector<std::string> JobReportHeader();
 
 // One row per job from a finished engine.
 void AppendJobReport(TextTable& table, const std::string& policy_label, const Engine& engine);
-
-// One row per job from a replicated result (means).
-void AppendJobReport(TextTable& table, const std::string& policy_label,
-                     const ReplicatedResult& result);
 
 // Convenience: run `jobs` once under each policy and render the whole table.
 std::string ComparePolicies(const MachineConfig& machine,

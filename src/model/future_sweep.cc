@@ -23,12 +23,18 @@ double LookupOrDie(const std::map<std::string, double>& table, const std::string
   return it->second;
 }
 
+const ReplicatedResult& FindRun(const SweepResult& grid, PolicyKind policy, int mix_number) {
+  const ExperimentResult* experiment = grid.Find(policy, mix_number);
+  AFF_CHECK_MSG(experiment != nullptr, "policy or mix missing from the sweep grid");
+  return experiment->replicated;
+}
+
 }  // namespace
 
-FutureSweepResult FutureSweepFromRuns(
-    const ReplicatedResult& equi,
-    const std::vector<std::pair<PolicyKind, const ReplicatedResult*>>& runs,
-    const PenaltyTable& penalties, const FutureSweepOptions& options) {
+FutureSweepResult FutureSweepFromRuns(const SweepResult& grid, int mix_number,
+                                      const PenaltyTable& penalties,
+                                      const FutureSweepOptions& options) {
+  const ReplicatedResult& equi = FindRun(grid, PolicyKind::kEquipartition, mix_number);
   const size_t num_jobs = equi.app.size();
   AFF_CHECK(num_jobs > 0);
   std::vector<ModelParams> equi_params;
@@ -41,8 +47,8 @@ FutureSweepResult FutureSweepFromRuns(
   FutureSweepResult result;
   result.products = options.products;
 
-  for (const auto& [policy, run_ptr] : runs) {
-    const ReplicatedResult& run = *run_ptr;
+  for (PolicyKind policy : options.policies) {
+    const ReplicatedResult& run = FindRun(grid, policy, mix_number);
     AFF_CHECK(run.app.size() == num_jobs);
     for (size_t j = 0; j < num_jobs; ++j) {
       const ModelParams params = ExtractModelParams(run.mean_stats[j],
@@ -64,28 +70,6 @@ FutureSweepResult FutureSweepFromRuns(
     }
   }
   return result;
-}
-
-FutureSweepResult SweepFutureMachines(const MachineConfig& machine, const WorkloadMix& mix,
-                                      const std::vector<AppProfile>& apps,
-                                      const PenaltyTable& penalties, uint64_t seed,
-                                      const FutureSweepOptions& options) {
-  const std::vector<AppProfile> jobs = mix.Expand(apps);
-  AFF_CHECK(!jobs.empty());
-
-  // Current-technology runs: Equipartition plus each candidate policy.
-  const ReplicatedResult equi = RunReplicated(machine, PolicyKind::kEquipartition, jobs, seed,
-                                              options.replication);
-  std::vector<ReplicatedResult> policy_runs;
-  policy_runs.reserve(options.policies.size());
-  for (PolicyKind policy : options.policies) {
-    policy_runs.push_back(RunReplicated(machine, policy, jobs, seed, options.replication));
-  }
-  std::vector<std::pair<PolicyKind, const ReplicatedResult*>> runs;
-  for (size_t i = 0; i < options.policies.size(); ++i) {
-    runs.emplace_back(options.policies[i], &policy_runs[i]);
-  }
-  return FutureSweepFromRuns(equi, runs, penalties, options);
 }
 
 }  // namespace affsched

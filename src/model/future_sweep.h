@@ -1,19 +1,17 @@
-// Driver for the Figures 8-13 extrapolation: runs a workload mix under each
-// policy on the current-technology simulator, extracts model parameters per
-// job, and sweeps (processor-speed x cache-size) to predict response times on
-// future machines, relative to Equipartition.
+// The Figures 8-13 extrapolation: takes a workload mix's replicated runs on
+// the current-technology simulator (a SweepRunner grid), extracts model
+// parameters per job, and sweeps (processor-speed x cache-size) to predict
+// response times on future machines, relative to Equipartition.
 
 #ifndef SRC_MODEL_FUTURE_SWEEP_H_
 #define SRC_MODEL_FUTURE_SWEEP_H_
 
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "src/measure/experiment.h"
-#include "src/measure/mixes.h"
 #include "src/model/response_model.h"
+#include "src/runner/sweep.h"
 #include "src/sched/factory.h"
 
 namespace affsched {
@@ -51,24 +49,15 @@ struct FutureSweepOptions {
   double speed_exponent = 0.5;
   std::vector<PolicyKind> policies = {PolicyKind::kDynamic, PolicyKind::kDynAff,
                                       PolicyKind::kDynAffDelay};
-  ReplicationOptions replication;
 };
 
-// Runs `mix` under Equipartition and each policy in `options.policies` on the
-// current-technology machine, then extrapolates.
-FutureSweepResult SweepFutureMachines(const MachineConfig& machine, const WorkloadMix& mix,
-                                      const std::vector<AppProfile>& apps,
-                                      const PenaltyTable& penalties, uint64_t seed,
+// Evaluates the Figure-7 model across `options.products` for mix
+// `mix_number` of `grid`: each of `options.policies` relative to the grid's
+// Equipartition experiment on the same mix. Dies if the grid lacks any of
+// those experiments.
+FutureSweepResult FutureSweepFromRuns(const SweepResult& grid, int mix_number,
+                                      const PenaltyTable& penalties,
                                       const FutureSweepOptions& options = {});
-
-// The extrapolation half of SweepFutureMachines: takes already-replicated
-// current-technology results (e.g. produced in parallel by the sweep runner)
-// and evaluates the Figure-7 model across `options.products`. `runs` pairs
-// each policy with its replicated result for the same mix/seed as `equi`.
-FutureSweepResult FutureSweepFromRuns(
-    const ReplicatedResult& equi,
-    const std::vector<std::pair<PolicyKind, const ReplicatedResult*>>& runs,
-    const PenaltyTable& penalties, const FutureSweepOptions& options = {});
 
 }  // namespace affsched
 

@@ -1,10 +1,6 @@
 #include "src/opensys/arrival_process.h"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "src/common/check.h"
 
@@ -103,193 +99,9 @@ bool OnOffProcess::Next(ArrivalPlanEntry* out) {
   }
 }
 
-TraceArrivalProcess::TraceArrivalProcess(std::vector<ArrivalPlanEntry> entries)
-    : entries_(std::move(entries)) {
-  for (size_t i = 1; i < entries_.size(); ++i) {
-    AFF_CHECK_MSG(entries_[i - 1].when <= entries_[i].when, "trace entries must be time-sorted");
-  }
-}
-
-void TraceArrivalProcess::Reset(uint64_t /*seed*/) { next_ = 0; }
-
-bool TraceArrivalProcess::Next(ArrivalPlanEntry* out) {
-  if (next_ >= entries_.size()) {
-    return false;
-  }
-  *out = entries_[next_++];
-  return true;
-}
-
-namespace {
-
-bool Fail(std::string* error, size_t line_no, const std::string& message) {
-  if (error != nullptr) {
-    std::ostringstream o;
-    o << "line " << line_no << ": " << message;
-    *error = o.str();
-  }
-  return false;
-}
-
-bool ValidateAndAppend(double t_s, double app, size_t line_no,
-                       std::vector<ArrivalPlanEntry>* out, std::string* error) {
-  if (!std::isfinite(t_s) || t_s < 0.0) {
-    return Fail(error, line_no, "arrival time must be a finite non-negative number");
-  }
-  if (!std::isfinite(app) || app < 0.0 || app != std::floor(app)) {
-    return Fail(error, line_no, "app index must be a non-negative integer");
-  }
-  ArrivalPlanEntry entry;
-  entry.when = Seconds(t_s);
-  entry.app_index = static_cast<size_t>(app);
-  if (!out->empty() && entry.when < out->back().when) {
-    return Fail(error, line_no, "arrival times must be non-decreasing");
-  }
-  out->push_back(entry);
-  return true;
-}
-
-// Parses a double at `s`, requiring the whole token be consumed.
-bool ParseNumber(const std::string& s, double* value) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *value = std::strtod(s.c_str(), &end);
-  while (end != nullptr && *end != '\0' && std::isspace(static_cast<unsigned char>(*end))) {
-    ++end;
-  }
-  return end != nullptr && *end == '\0';
-}
-
-std::string Trim(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) {
-    ++b;
-  }
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) {
-    --e;
-  }
-  return s.substr(b, e - b);
-}
-
-// Extracts the numeric value of `"key": <number>` from a single-line JSON
-// object. This is a field scanner, not a JSON parser: enough for the flat
-// trace schema, with malformed values rejected by the caller's validation.
-bool ExtractJsonNumber(const std::string& line, const std::string& key, double* value) {
-  const std::string quoted = "\"" + key + "\"";
-  size_t pos = line.find(quoted);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  pos += quoted.size();
-  while (pos < line.size() && (std::isspace(static_cast<unsigned char>(line[pos])) || line[pos] == ':')) {
-    ++pos;
-  }
-  size_t end = pos;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') {
-    ++end;
-  }
-  return ParseNumber(Trim(line.substr(pos, end - pos)), value);
-}
-
-}  // namespace
-
-bool ParseArrivalTraceCsv(const std::string& text, std::vector<ArrivalPlanEntry>* out,
-                          std::string* error) {
-  out->clear();
-  std::istringstream in(text);
-  std::string line;
-  size_t line_no = 0;
-  bool first_data_line = true;
-  while (std::getline(in, line)) {
-    ++line_no;
-    line = Trim(line);
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    const size_t comma = line.find(',');
-    if (comma == std::string::npos) {
-      return Fail(error, line_no, "expected 't_seconds,app_index'");
-    }
-    double t_s = 0.0;
-    double app = 0.0;
-    const bool ok = ParseNumber(Trim(line.substr(0, comma)), &t_s) &&
-                    ParseNumber(Trim(line.substr(comma + 1)), &app);
-    if (!ok) {
-      if (first_data_line) {
-        // Tolerate one header line ("t_s,app").
-        first_data_line = false;
-        continue;
-      }
-      return Fail(error, line_no, "expected 't_seconds,app_index'");
-    }
-    first_data_line = false;
-    if (!ValidateAndAppend(t_s, app, line_no, out, error)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ParseArrivalTraceJsonl(const std::string& text, std::vector<ArrivalPlanEntry>* out,
-                            std::string* error) {
-  out->clear();
-  std::istringstream in(text);
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    line = Trim(line);
-    if (line.empty()) {
-      continue;
-    }
-    double t_s = 0.0;
-    double app = 0.0;
-    if (!ExtractJsonNumber(line, "t_s", &t_s)) {
-      return Fail(error, line_no, "missing or malformed \"t_s\" field");
-    }
-    if (!ExtractJsonNumber(line, "app", &app)) {
-      return Fail(error, line_no, "missing or malformed \"app\" field");
-    }
-    if (!ValidateAndAppend(t_s, app, line_no, out, error)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::unique_ptr<TraceArrivalProcess> LoadArrivalTraceFile(const std::string& path,
-                                                          std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) {
-      *error = "cannot open trace file: " + path;
-    }
-    return nullptr;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const bool jsonl = path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
-  std::vector<ArrivalPlanEntry> entries;
-  std::string parse_error;
-  const bool ok = jsonl ? ParseArrivalTraceJsonl(buffer.str(), &entries, &parse_error)
-                        : ParseArrivalTraceCsv(buffer.str(), &entries, &parse_error);
-  if (!ok) {
-    if (error != nullptr) {
-      *error = path + ": " + parse_error;
-    }
-    return nullptr;
-  }
-  return std::make_unique<TraceArrivalProcess>(std::move(entries));
-}
-
 std::vector<ArrivalPlanEntry> GenerateArrivals(ArrivalProcess& process, uint64_t seed,
                                                size_t max_count, SimTime t_end) {
-  const bool finite = dynamic_cast<TraceArrivalProcess*>(&process) != nullptr;
-  AFF_CHECK_MSG(max_count > 0 || t_end > 0 || finite,
-                "unbounded generation: set max_count or t_end");
+  AFF_CHECK_MSG(max_count > 0 || t_end > 0, "unbounded generation: set max_count or t_end");
   process.Reset(seed);
   std::vector<ArrivalPlanEntry> plan;
   if (max_count > 0) {
@@ -310,14 +122,6 @@ std::vector<ArrivalPlanEntry> PoissonArrivals(size_t count, SimDuration mean_int
                                               uint64_t seed) {
   PoissonProcess process(mean_interarrival, app_weights);
   return GenerateArrivals(process, seed, count, /*t_end=*/0);
-}
-
-std::vector<ArrivalPlanEntry> PoissonArrivalsUntil(SimTime t_end, SimDuration mean_interarrival,
-                                                   const std::vector<double>& app_weights,
-                                                   uint64_t seed) {
-  AFF_CHECK_MSG(t_end > 0, "horizon must be positive");
-  PoissonProcess process(mean_interarrival, app_weights);
-  return GenerateArrivals(process, seed, /*max_count=*/0, t_end);
 }
 
 }  // namespace affsched

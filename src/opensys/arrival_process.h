@@ -4,15 +4,13 @@
 // designed around arrivals and departures (Equipartition repartitions on
 // them; Dynamic's fair shares shift). This layer turns the simulator into an
 // open queueing system's front half: a stream of (application, time) arrival
-// events, drawn from a stochastic process or replayed from a trace, that the
-// OpenSystemDriver feeds through admission control into the Engine.
+// events, drawn from a stochastic process, that the OpenSystemDriver feeds
+// through admission control into the Engine.
 //
-// Three implementations:
-//   * PoissonProcess       — memoryless arrivals at a fixed mean rate;
-//   * OnOffProcess         — a two-state Markov-modulated Poisson process
-//                            (bursts of arrivals separated by silences);
-//   * TraceArrivalProcess  — deterministic replay of a recorded stream
-//                            (CSV or JSONL).
+// Two implementations:
+//   * PoissonProcess  — memoryless arrivals at a fixed mean rate;
+//   * OnOffProcess    — a two-state Markov-modulated Poisson process
+//                       (bursts of arrivals separated by silences).
 //
 // Every process is deterministic given its Reset() seed, so arrival plans are
 // reproducible and shared across policies under common random numbers.
@@ -21,7 +19,6 @@
 #define SRC_OPENSYS_ARRIVAL_PROCESS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,10 +49,10 @@ class ArrivalProcess {
   virtual void Reset(uint64_t seed) = 0;
 
   // Produces the next arrival (times non-decreasing). Returns false when the
-  // stream is exhausted; stochastic processes never exhaust, traces do.
+  // stream is exhausted; the stochastic processes here never exhaust.
   virtual bool Next(ArrivalPlanEntry* out) = 0;
 
-  // Short identifier for sweep axes and JSON ("poisson", "onoff", "trace").
+  // Short identifier for sweep axes and JSON ("poisson", "onoff").
   virtual std::string Name() const = 0;
 };
 
@@ -108,47 +105,11 @@ class OnOffProcess : public ArrivalProcess {
   bool on_ = true;
 };
 
-// Deterministic replay of a recorded arrival stream. Reset() ignores the
-// seed (a trace is its own randomness) and rewinds to the first entry.
-class TraceArrivalProcess : public ArrivalProcess {
- public:
-  // `entries` must be sorted by time; dies otherwise.
-  explicit TraceArrivalProcess(std::vector<ArrivalPlanEntry> entries);
-
-  void Reset(uint64_t seed) override;
-  bool Next(ArrivalPlanEntry* out) override;
-  std::string Name() const override { return "trace"; }
-
-  size_t size() const { return entries_.size(); }
-
- private:
-  std::vector<ArrivalPlanEntry> entries_;
-  size_t next_ = 0;
-};
-
-// Parses an arrival trace in CSV form: one "t_seconds,app_index" pair per
-// line; blank lines and '#' comments skipped; an optional header line is
-// tolerated. Returns false with a line-numbered message in `error` on
-// malformed input (negative time, out-of-order times, bad number).
-bool ParseArrivalTraceCsv(const std::string& text, std::vector<ArrivalPlanEntry>* out,
-                          std::string* error);
-
-// Parses an arrival trace in JSONL form: one {"t_s": <seconds>, "app": <idx>}
-// object per line (extra keys ignored; blank lines skipped). Same validation
-// as the CSV parser.
-bool ParseArrivalTraceJsonl(const std::string& text, std::vector<ArrivalPlanEntry>* out,
-                            std::string* error);
-
-// Loads a trace file, dispatching on extension: ".jsonl" -> JSONL, anything
-// else -> CSV. Returns nullptr with a message in `error` on failure.
-std::unique_ptr<TraceArrivalProcess> LoadArrivalTraceFile(const std::string& path,
-                                                          std::string* error);
-
 // Materializes a plan from `process` (which is Reset with `seed` first).
 // Generation stops at whichever bound hits first: `max_count` entries
 // (0 = no count bound), or the first arrival at or after `t_end`, which is
-// discarded (t_end <= 0 = no horizon). At least one bound must be set unless
-// the process is finite (a trace). The result is sorted by time.
+// discarded (t_end <= 0 = no horizon). At least one bound must be set. The
+// result is sorted by time.
 std::vector<ArrivalPlanEntry> GenerateArrivals(ArrivalProcess& process, uint64_t seed,
                                                size_t max_count, SimTime t_end);
 
@@ -157,11 +118,6 @@ std::vector<ArrivalPlanEntry> GenerateArrivals(ArrivalProcess& process, uint64_t
 std::vector<ArrivalPlanEntry> PoissonArrivals(size_t count, SimDuration mean_interarrival,
                                               const std::vector<double>& app_weights,
                                               uint64_t seed);
-
-// Horizon-based variant: Poisson arrivals up to (excluding) `t_end`.
-std::vector<ArrivalPlanEntry> PoissonArrivalsUntil(SimTime t_end, SimDuration mean_interarrival,
-                                                   const std::vector<double>& app_weights,
-                                                   uint64_t seed);
 
 }  // namespace affsched
 

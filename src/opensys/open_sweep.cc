@@ -12,6 +12,7 @@
 #include "src/measure/experiment.h"
 #include "src/rt/deadline_mix.h"
 #include "src/runner/cell_seed.h"
+#include "src/runner/sweep.h"
 #include "src/runner/worker_pool.h"
 #include "src/telemetry/json.h"
 #include "src/telemetry/sampler.h"
@@ -134,9 +135,12 @@ bool ApplyOpenKey(OpenSweepSpec* spec, const std::string& key, const std::string
         &spec->rhos, error);
   }
   if (key == "count" || key == "reps") {
-    size_t& n = key == "count" ? spec->jobs_per_cell : spec->replications;
+    const bool count = key == "count";
+    size_t& n = count ? spec->jobs_per_cell : spec->replications;
+    const size_t cap = count ? kMaxArrivalsPerCell : kMaxReplications;
     return ReadSpecNumber(key, value, &n, error) &&
-           (n >= 1 || SpecError(error, key + " must be >= 1"));
+           ((n >= 1 && n <= cap) ||
+            SpecError(error, key + " must be in [1, " + std::to_string(cap) + "]"));
   }
   if (key == "mpl-cap") {
     return ReadSpecNumber(key, value, &spec->mpl_cap, error);

@@ -91,9 +91,10 @@ OpenSweepSpec OpenSysSmokeSpec();  // 2 policies x 2 rhos x poisson
 // "opensys-smoke"), a "key=value;..." list (starting from the opensys grid),
 // or a preset plus overrides. Keys: the shared grid keys
 // (src/runner/grid_spec.h), plus rhos (comma-separated), arrivals
-// (comma-separated kinds), count (arrivals per cell), reps, mpl-cap,
-// max-queue, warmup ("mser" or a fraction) and burst (on/off burst factor,
-// in (1, 1000]).
+// (comma-separated kinds), count (arrivals per cell, at most
+// kMaxArrivalsPerCell), reps (at most kMaxReplications; both in
+// src/runner/sweep.h), mpl-cap, max-queue, warmup ("mser" or a fraction) and
+// burst (on/off burst factor, in (1, 1000]).
 bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::string* error);
 
 // Deterministic mean job demand in seconds of base-machine work: a fixed

@@ -5,9 +5,10 @@
 // rounds — every experiment's next needed replication is submitted to the
 // pool, the round drains, results fold in (mix-major, policy, replication)
 // order, and experiments whose confidence bound is unmet (and cap unreached)
-// get one more replication next round. This reproduces the serial
-// RunReplicated stopping rule exactly, so the replication counts, the
-// aggregates, and the serialized JSON are bit-identical at any worker count.
+// get one more replication next round. Each experiment therefore stops at
+// the same replication count as a serial loop over ReplicationFolder::Done
+// would, and the replication counts, the aggregates, and the serialized JSON
+// are bit-identical at any worker count.
 //
 // Thread-safety of the simulation stack (audited for this runner; guarded by
 // the TSan CI job): an Engine owns every piece of mutable state it touches —

@@ -152,8 +152,10 @@ bool ApplySweepKey(SweepSpec* spec, const std::string& key, const std::string& v
         !ReadSpecNumber(key, max, &reps.max_replications, error)) {
       return false;
     }
-    return (reps.min_replications >= 1 && reps.max_replications >= reps.min_replications) ||
-           SpecError(error, "bad reps '" + value + "' (N >= 1, or MIN-MAX with 1 <= MIN <= MAX)");
+    return (reps.min_replications >= 1 && reps.max_replications >= reps.min_replications &&
+            reps.max_replications <= kMaxReplications) ||
+           SpecError(error, "bad reps '" + value +
+                                "' (N, or MIN-MAX with 1 <= MIN <= MAX <= 1000)");
   }
   if (key == "precision") {
     return ReadSpecNumber(key, value, &spec->replication.relative_precision, error);

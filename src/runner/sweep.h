@@ -100,14 +100,21 @@ SweepSpec RtSpec();
 // (comma-separated Table 2 numbers), reps (N fixed or MIN-MAX adaptive),
 // precision, observability (0/1 — schema-v3 affinity-efficiency block) and
 // balance-interval (milliseconds between load-balance ticks, overriding the
-// policy default; 0 to kMaxBalanceIntervalMs). Returns false and sets `error`
-// on malformed input.
+// policy default; 0 to kMaxBalanceIntervalMs). reps is at most
+// kMaxReplications. Returns false and sets `error` on malformed input.
 bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error);
 
 // Upper bound on a balance interval, in milliseconds: 1000 simulated
 // seconds, longer than any run here, and far inside the range the
 // conversion to integer nanoseconds can represent.
 inline constexpr double kMaxBalanceIntervalMs = 1e6;
+
+// Upper bounds on the replication counts of closed and open sweeps (reps)
+// and on the arrivals per open cell (count). The runners allocate per
+// replication and per arrival up front, so a value that parses must also
+// fit in memory; both caps sit far above any grid here.
+inline constexpr size_t kMaxReplications = 1000;
+inline constexpr size_t kMaxArrivalsPerCell = 1000000;
 
 // One executed cell: a whole simulation at a derived seed.
 struct CellResult {
@@ -116,8 +123,8 @@ struct CellResult {
   RunResult run;
 };
 
-// One (policy, mix) experiment: the serial-identical replicated aggregate
-// plus the per-cell rows it was folded from.
+// One (policy, mix) experiment: the replicated aggregate plus the per-cell
+// rows it was folded from.
 struct ExperimentResult {
   PolicyKind policy = PolicyKind::kDynamic;
   WorkloadMix mix;

@@ -36,32 +36,26 @@ PolicyDecision MeteredPolicy::Account(Counter* hook, PolicyDecision decision) {
 }
 
 PolicyDecision MeteredPolicy::OnJobArrival(const SchedView& view, JobId job) {
-  ScopedTimer timer(profile_);
   return Account(on_arrival_, inner_->OnJobArrival(view, job));
 }
 
 PolicyDecision MeteredPolicy::OnJobDeparture(const SchedView& view, JobId job) {
-  ScopedTimer timer(profile_);
   return Account(on_departure_, inner_->OnJobDeparture(view, job));
 }
 
 PolicyDecision MeteredPolicy::OnProcessorAvailable(const SchedView& view, size_t proc) {
-  ScopedTimer timer(profile_);
   return Account(on_available_, inner_->OnProcessorAvailable(view, proc));
 }
 
 PolicyDecision MeteredPolicy::OnRequest(const SchedView& view, JobId job) {
-  ScopedTimer timer(profile_);
   return Account(on_request_, inner_->OnRequest(view, job));
 }
 
 PolicyDecision MeteredPolicy::OnQuantumExpiry(const SchedView& view, size_t proc) {
-  ScopedTimer timer(profile_);
   return Account(on_quantum_, inner_->OnQuantumExpiry(view, proc));
 }
 
 PolicyDecision MeteredPolicy::OnBalanceTick(const SchedView& view) {
-  ScopedTimer timer(profile_);
   return Account(on_balance_, inner_->OnBalanceTick(view));
 }
 

@@ -1,8 +1,6 @@
-// MeteredPolicy: a transparent decorator that counts and (optionally)
-// wall-clock-times every policy invocation without the wrapped policy
-// knowing. This is how the telemetry layer attributes simulator overhead to
-// "policy decisions" specifically — the engine and the policies themselves
-// stay free of instrumentation.
+// MeteredPolicy: a transparent decorator that counts every policy
+// invocation without the wrapped policy knowing, so the engine and the
+// policies themselves stay free of instrumentation.
 //
 // Scheduling behaviour is bit-identical to the wrapped policy: every hook
 // delegates verbatim, including YieldDelay/UsesAffinity/Quantum, so a
@@ -16,7 +14,6 @@
 
 #include "src/sched/policy.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/profile.h"
 
 namespace affsched {
 
@@ -30,10 +27,6 @@ class MeteredPolicy : public Policy {
   // Pass nullptr to detach.
   // The registry must outlive this policy.
   void AttachMetrics(MetricsRegistry* registry);
-
-  // Accumulates the wall-clock cost of every decision into `section`
-  // (nullptr detaches). The section must outlive this policy.
-  void AttachProfiler(ProfileSection* section) { profile_ = section; }
 
   std::string name() const override { return inner_->name(); }
   PolicyDecision OnJobArrival(const SchedView& view, JobId job) override;
@@ -61,7 +54,6 @@ class MeteredPolicy : public Policy {
   Counter* on_balance_ = nullptr;
   Counter* assignments_ = nullptr;
   Counter* repartitions_ = nullptr;
-  ProfileSection* profile_ = nullptr;
 };
 
 }  // namespace affsched

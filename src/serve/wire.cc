@@ -106,12 +106,19 @@ LineChannel::~LineChannel() {
 }
 
 bool LineChannel::ReadLine(std::string* line) {
+  if (overlong_) {
+    return false;
+  }
   while (true) {
     const size_t newline = buffer_.find('\n');
     if (newline != std::string::npos) {
       *line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
       return true;
+    }
+    if (buffer_.size() > kMaxLineBytes) {
+      overlong_ = true;
+      return false;
     }
     char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));

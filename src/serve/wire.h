@@ -28,6 +28,7 @@
 #ifndef SRC_SERVE_WIRE_H_
 #define SRC_SERVE_WIRE_H_
 
+#include <cstddef>
 #include <string>
 
 namespace affsched {
@@ -54,6 +55,11 @@ int ListenUnix(const std::string& path, std::string* error);
 // Connects to a listening socket. Returns the fd, or -1 with `error` set.
 int ConnectUnix(const std::string& path, std::string* error);
 
+// How many bytes a LineChannel buffers while waiting for a '\n'. A request
+// is one spec string, far shorter, so a peer that streams more without a
+// newline is hostile or broken.
+inline constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
 // Blocking line-based framing over an fd. Close-on-destroy.
 class LineChannel {
  public:
@@ -63,8 +69,11 @@ class LineChannel {
   LineChannel& operator=(const LineChannel&) = delete;
 
   // Reads up to the next '\n' (not included). False on EOF or error with no
-  // buffered data; a final unterminated line is returned before EOF.
+  // buffered data; a final unterminated line is returned before EOF. Also
+  // false, with overlong() set, once more than kMaxLineBytes arrive without
+  // a '\n'; the channel then reads nothing more.
   bool ReadLine(std::string* line);
+  bool overlong() const { return overlong_; }
 
   // Writes `line` plus '\n', retrying short writes. False on error (EPIPE
   // when the peer hung up mid-stream).
@@ -75,6 +84,7 @@ class LineChannel {
  private:
   int fd_ = -1;
   std::string buffer_;
+  bool overlong_ = false;
 };
 
 }  // namespace affsched

@@ -1,9 +1,5 @@
 #include "src/stats/fairness.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "src/common/check.h"
 
 namespace affsched {
@@ -23,37 +19,6 @@ double JainFairnessIndex(const std::vector<double>& values) {
     return 1.0;
   }
   return (sum * sum) / (static_cast<double>(values.size()) * sum_sq);
-}
-
-double MaxMinRatio(const std::vector<double>& values) {
-  if (values.empty()) {
-    return 1.0;
-  }
-  const auto [min_it, max_it] = std::minmax_element(values.begin(), values.end());
-  if (*min_it <= 0.0) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return *max_it / *min_it;
-}
-
-double CoefficientOfVariation(const std::vector<double>& values) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (double x : values) {
-    sum += x;
-  }
-  const double mean = sum / static_cast<double>(values.size());
-  if (mean == 0.0) {
-    return 0.0;
-  }
-  double var = 0.0;
-  for (double x : values) {
-    var += (x - mean) * (x - mean);
-  }
-  var /= static_cast<double>(values.size());
-  return std::sqrt(var) / mean;
 }
 
 }  // namespace affsched

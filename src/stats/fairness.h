@@ -1,9 +1,8 @@
 // Fairness metrics over per-job outcomes.
 //
 // The paper rejects Dyn-Aff-NoPri because its response times relative to
-// Equipartition are "extremely variable" across jobs (Figure 6). These
-// metrics quantify that variability: Jain's fairness index and the max/min
-// spread.
+// Equipartition are "extremely variable" across jobs (Figure 6). Jain's
+// fairness index quantifies that variability.
 
 #ifndef SRC_STATS_FAIRNESS_H_
 #define SRC_STATS_FAIRNESS_H_
@@ -16,12 +15,6 @@ namespace affsched {
 // 1/n = one job gets everything. Inputs must be non-negative; returns 1.0
 // for empty input.
 double JainFairnessIndex(const std::vector<double>& values);
-
-// max(values) / min(values); +inf if min is 0; 1.0 for empty input.
-double MaxMinRatio(const std::vector<double>& values);
-
-// Population coefficient of variation (stddev / mean); 0 for empty input.
-double CoefficientOfVariation(const std::vector<double>& values);
 
 }  // namespace affsched
 

@@ -96,31 +96,4 @@ double StudentTCritical(size_t degrees_of_freedom, double level) {
   return t;
 }
 
-ReplicationController::ReplicationController(double relative_precision, double level,
-                                             size_t min_replications, size_t max_replications)
-    : relative_precision_(relative_precision),
-      level_(level),
-      min_replications_(min_replications),
-      max_replications_(max_replications) {
-  AFF_CHECK(relative_precision_ > 0.0);
-  AFF_CHECK(min_replications_ >= 2);
-  AFF_CHECK(max_replications_ >= min_replications_);
-}
-
-void ReplicationController::Add(double x) { summary_.Add(x); }
-
-bool ReplicationController::Done() const {
-  if (summary_.count() < min_replications_) {
-    return false;
-  }
-  if (summary_.count() >= max_replications_) {
-    return true;
-  }
-  const double mean = summary_.mean();
-  if (mean == 0.0) {
-    return true;
-  }
-  return summary_.ConfidenceHalfWidth(level_) <= relative_precision_ * std::abs(mean);
-}
-
 }  // namespace affsched

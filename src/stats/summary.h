@@ -1,8 +1,9 @@
 // Online summary statistics and Student-t confidence intervals.
 //
 // The paper replicates each scheduling experiment until the 95% confidence
-// interval of mean response time is within 1% of the point estimate; the
-// ReplicationController below implements the same stopping rule.
+// interval of mean response time is within 1% of the point estimate;
+// ReplicationFolder (src/measure/experiment.h) applies that rule with these
+// intervals.
 
 #ifndef SRC_STATS_SUMMARY_H_
 #define SRC_STATS_SUMMARY_H_
@@ -43,30 +44,6 @@ class Summary {
 // confidence level, via a rational approximation of the inverse CDF accurate
 // to ~1e-4 — ample for replication stopping rules.
 double StudentTCritical(size_t degrees_of_freedom, double level);
-
-// Implements "replicate until the CI half-width is within `relative_precision`
-// of the mean, at `level` confidence", with configurable minimum and maximum
-// replication counts.
-class ReplicationController {
- public:
-  ReplicationController(double relative_precision, double level, size_t min_replications,
-                        size_t max_replications);
-
-  // Records one replication's observation.
-  void Add(double x);
-
-  // True once enough replications have been taken.
-  bool Done() const;
-
-  const Summary& summary() const { return summary_; }
-
- private:
-  Summary summary_;
-  double relative_precision_;
-  double level_;
-  size_t min_replications_;
-  size_t max_replications_;
-};
 
 }  // namespace affsched
 

@@ -88,8 +88,6 @@ void RunManifest::AddMetrics(const MetricsRegistry& registry) {
   SetJson("metrics", registry.ToJson());
 }
 
-void RunManifest::AddProfile(const Profiler& profiler) { SetJson("profile", profiler.ToJson()); }
-
 std::string RunManifest::ToJson() const {
   std::ostringstream out;
   out << "{";

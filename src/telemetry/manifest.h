@@ -1,6 +1,6 @@
 // Run manifests: a machine-readable record of one benchmark or simulation
-// run — seed, configuration, build/git metadata, end-of-run metric totals,
-// and optionally a wall-clock profile — written as a single JSON object.
+// run — seed, configuration, build/git metadata and end-of-run metric
+// totals — written as a single JSON object.
 // CI benches archive these next to their output so any number in a report
 // can be traced back to the exact build and parameters that produced it.
 
@@ -12,7 +12,6 @@
 #include <string>
 
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/profile.h"
 
 namespace affsched {
 
@@ -39,8 +38,6 @@ class RunManifest {
 
   // Embeds the registry's totals as the "metrics" member.
   void AddMetrics(const MetricsRegistry& registry);
-  // Embeds the profiler's sections as the "profile" member.
-  void AddProfile(const Profiler& profiler);
 
   // One JSON object, keys sorted.
   std::string ToJson() const;

@@ -23,6 +23,18 @@ TEST(MachineValidateTest, ZeroProcessorsIsRejected) {
   EXPECT_NE(config.Validate().find("procs=0"), std::string::npos);
 }
 
+TEST(MachineValidateTest, ProcessorCountIsBounded) {
+  MachineConfig config;
+  for (const size_t procs : {kMaxProcessors + 1, size_t{1000000000}}) {
+    config.num_processors = procs;
+    EXPECT_NE(config.Validate().find("at most 4096 processors"), std::string::npos) << procs;
+  }
+  for (const size_t procs : {size_t{1024}, kMaxProcessors}) {
+    config.num_processors = procs;
+    EXPECT_EQ(config.Validate(), "") << procs;
+  }
+}
+
 TEST(MachineValidateTest, ZeroCapacityCacheLevelsAreRejected) {
   MachineConfig config;
   config.geometry.line_bytes = 0;

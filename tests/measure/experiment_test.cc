@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/apps.h"
+#include "src/common/rng.h"
+#include "src/runner/runner.h"
 
 namespace affsched {
 namespace {
@@ -15,6 +17,37 @@ MachineConfig SmallMachine() {
   MachineConfig config;
   config.num_processors = 8;
   return config;
+}
+
+// SmallMixJobs() (mix 3: one MVA, one GRAVITY) under `policy`, replicated by
+// the sweep runner.
+ReplicatedResult ReplicateSmallMix(PolicyKind policy, size_t min_reps, size_t max_reps) {
+  SweepSpec spec;
+  spec.machine = SmallMachine();
+  spec.apps = {MakeSmallMvaProfile(), MakeSmallMatrixProfile(), MakeSmallGravityProfile()};
+  spec.policies = {policy};
+  spec.mixes = {WorkloadMix{.number = 3, .mva = 1, .gravity = 1}};
+  spec.replication.min_replications = min_reps;
+  spec.replication.max_replications = max_reps;
+  spec.root_seed = 1;
+  return SweepRunner().Run(spec).experiments.front().replicated;
+}
+
+// A one-job replication whose response time is `seconds`.
+RunResult OneJobRun(double seconds) {
+  JobStats stats;
+  stats.completion = Seconds(seconds);
+  RunResult run;
+  run.jobs.push_back(JobResult{"MVA", stats});
+  return run;
+}
+
+ReplicationOptions Rule(double precision, size_t min_reps, size_t max_reps) {
+  ReplicationOptions options;
+  options.relative_precision = precision;
+  options.min_replications = min_reps;
+  options.max_replications = max_reps;
+  return options;
 }
 
 TEST(ExperimentTest, PaperMachineIsSixteenProcessors) {
@@ -45,11 +78,7 @@ TEST(ExperimentTest, RunOnceIsDeterministicPerSeed) {
 }
 
 TEST(ExperimentTest, ReplicationRunsAtLeastMinimum) {
-  ReplicationOptions rep;
-  rep.min_replications = 3;
-  rep.max_replications = 4;
-  const ReplicatedResult result =
-      RunReplicated(SmallMachine(), PolicyKind::kDynamic, SmallMixJobs(), 1, rep);
+  const ReplicatedResult result = ReplicateSmallMix(PolicyKind::kDynamic, 3, 4);
   EXPECT_GE(result.replications, 3u);
   EXPECT_LE(result.replications, 4u);
   ASSERT_EQ(result.response.size(), 2u);
@@ -57,11 +86,7 @@ TEST(ExperimentTest, ReplicationRunsAtLeastMinimum) {
 }
 
 TEST(ExperimentTest, MeanStatsAveragedAcrossReplications) {
-  ReplicationOptions rep;
-  rep.min_replications = 3;
-  rep.max_replications = 3;
-  const ReplicatedResult result =
-      RunReplicated(SmallMachine(), PolicyKind::kDynamic, SmallMixJobs(), 1, rep);
+  const ReplicatedResult result = ReplicateSmallMix(PolicyKind::kDynamic, 3, 3);
   for (size_t j = 0; j < result.mean_stats.size(); ++j) {
     const JobStats& s = result.mean_stats[j];
     EXPECT_GT(s.useful_work_s, 0.0);
@@ -72,14 +97,57 @@ TEST(ExperimentTest, MeanStatsAveragedAcrossReplications) {
 }
 
 TEST(ExperimentTest, AppNamesStableAcrossReplications) {
-  ReplicationOptions rep;
-  rep.min_replications = 2;
-  rep.max_replications = 2;
-  const ReplicatedResult result =
-      RunReplicated(SmallMachine(), PolicyKind::kEquipartition, SmallMixJobs(), 1, rep);
+  const ReplicatedResult result = ReplicateSmallMix(PolicyKind::kEquipartition, 2, 2);
   ASSERT_EQ(result.app.size(), 2u);
   EXPECT_EQ(result.app[0], "MVA");
   EXPECT_EQ(result.app[1], "GRAVITY");
+}
+
+TEST(ReplicationFolderTest, StopsWhenPrecise) {
+  const ReplicationOptions rule = Rule(0.01, 3, 100);
+  ReplicationFolder folder(1);
+  // Identical observations: precise immediately after the minimum.
+  folder.Fold(OneJobRun(10.0));
+  EXPECT_FALSE(folder.Done(rule));
+  folder.Fold(OneJobRun(10.0));
+  EXPECT_FALSE(folder.Done(rule));
+  folder.Fold(OneJobRun(10.0));
+  EXPECT_TRUE(folder.Done(rule));
+}
+
+TEST(ReplicationFolderTest, KeepsGoingWhenNoisy) {
+  const ReplicationOptions rule = Rule(0.001, 2, 1000);
+  ReplicationFolder folder(1);
+  Rng rng(3);
+  for (int i = 0; i < 3; ++i) {
+    folder.Fold(OneJobRun(rng.NextNormal(10, 5)));
+  }
+  EXPECT_FALSE(folder.Done(rule));
+}
+
+TEST(ReplicationFolderTest, RespectsMaxCap) {
+  const ReplicationOptions rule = Rule(1e-9, 2, 5);
+  ReplicationFolder folder(1);
+  Rng rng(3);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_FALSE(folder.Done(rule));
+    folder.Fold(OneJobRun(rng.NextNormal(10, 5)));
+  }
+  EXPECT_TRUE(folder.Done(rule));
+}
+
+TEST(ReplicationFolderTest, PaperStoppingRule) {
+  // The paper's rule: 95% CI within 1% of the point estimate.
+  const ReplicationOptions rule = Rule(0.01, 3, 10000);
+  ReplicationFolder folder(1);
+  Rng rng(11);
+  while (!folder.Done(rule)) {
+    folder.Fold(OneJobRun(rng.NextNormal(100.0, 1.0)));
+  }
+  const ReplicatedResult result = folder.Finish();
+  const Summary& s = result.response[0];
+  EXPECT_LE(s.ConfidenceHalfWidth(0.95), 0.01 * s.mean());
+  EXPECT_LT(folder.replications(), 100u);
 }
 
 }  // namespace

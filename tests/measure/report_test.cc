@@ -35,19 +35,6 @@ TEST(ReportTest, EngineReportHasRowPerJob) {
   EXPECT_NE(out.find("Dynamic"), std::string::npos);
 }
 
-TEST(ReportTest, ReplicatedReportUsesMeans) {
-  ReplicationOptions rep;
-  rep.min_replications = 2;
-  rep.max_replications = 2;
-  const ReplicatedResult result = RunReplicated(
-      SmallMachine(), PolicyKind::kDynAff, {MakeSmallGravityProfile()}, 1, rep);
-  TextTable table;
-  table.SetHeader(JobReportHeader());
-  AppendJobReport(table, "Dyn-Aff", result);
-  EXPECT_EQ(table.num_rows(), 1u);
-  EXPECT_NE(table.Render().find("GRAVITY"), std::string::npos);
-}
-
 TEST(ReportTest, ComparePoliciesRendersAllPolicies) {
   const std::string out =
       ComparePolicies(SmallMachine(), {PolicyKind::kEquipartition, PolicyKind::kDynamic},

@@ -3,25 +3,33 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/apps.h"
+#include "src/runner/runner.h"
 
 namespace affsched {
 namespace {
 
-std::vector<AppProfile> SmallApps() {
-  return {MakeSmallMvaProfile(), MakeSmallMatrixProfile(), MakeSmallGravityProfile()};
+// Two replications of `mix` on the 8-processor machine with the small apps,
+// under Equipartition and the default future-sweep policies.
+SweepResult RunSmallGrid(const WorkloadMix& mix) {
+  SweepSpec spec;
+  spec.machine.num_processors = 8;
+  spec.apps = {MakeSmallMvaProfile(), MakeSmallMatrixProfile(), MakeSmallGravityProfile()};
+  spec.policies = {PolicyKind::kEquipartition, PolicyKind::kDynamic, PolicyKind::kDynAff,
+                   PolicyKind::kDynAffDelay};
+  spec.mixes = {mix};
+  spec.replication.min_replications = 2;
+  spec.replication.max_replications = 2;
+  spec.root_seed = 3;
+  return SweepRunner().Run(spec);
 }
 
-MachineConfig SmallMachine() {
-  MachineConfig config;
-  config.num_processors = 8;
-  return config;
+FutureSweepResult SmallSweep(const WorkloadMix& mix, const FutureSweepOptions& options) {
+  return FutureSweepFromRuns(RunSmallGrid(mix), mix.number, PaperPenaltyTable(), options);
 }
 
 FutureSweepOptions FastOptions() {
   FutureSweepOptions options;
   options.products = {1, 64, 4096};
-  options.replication.min_replications = 2;
-  options.replication.max_replications = 2;
   return options;
 }
 
@@ -37,8 +45,7 @@ TEST(PenaltyTableTest, PaperValuesAtQ400) {
 
 TEST(FutureSweepTest, ProducesCurvePerPolicyPerJob) {
   const WorkloadMix mix{.number = 5, .matrix = 1, .gravity = 1};
-  const FutureSweepResult result = SweepFutureMachines(
-      SmallMachine(), mix, SmallApps(), PaperPenaltyTable(), 3, FastOptions());
+  const FutureSweepResult result = SmallSweep(mix, FastOptions());
   // 3 policies x 2 jobs.
   EXPECT_EQ(result.curves.size(), 6u);
   for (const FutureCurve& curve : result.curves) {
@@ -54,8 +61,7 @@ TEST(FutureSweepTest, CurrentTechnologyRatiosNearOrBelowOne) {
   // At product = 1 (today's machine) the dynamic policies beat or match
   // Equipartition — Figure 5's result.
   const WorkloadMix mix{.number = 2, .mva = 1, .matrix = 1};
-  const FutureSweepResult result = SweepFutureMachines(
-      SmallMachine(), mix, SmallApps(), PaperPenaltyTable(), 3, FastOptions());
+  const FutureSweepResult result = SmallSweep(mix, FastOptions());
   for (const FutureCurve& curve : result.curves) {
     EXPECT_LT(curve.relative_rt.front(), 1.15) << curve.app;
   }
@@ -65,8 +71,7 @@ TEST(FutureSweepTest, ObliviousDynamicDegradesFasterThanAffinity) {
   // Figures 8-13: Dynamic's curve rises above Dyn-Aff's as the speed x cache
   // product grows, because Dynamic's %affinity is low.
   const WorkloadMix mix{.number = 1, .mva = 2};
-  const FutureSweepResult result = SweepFutureMachines(
-      SmallMachine(), mix, SmallApps(), PaperPenaltyTable(), 3, FastOptions());
+  const FutureSweepResult result = SmallSweep(mix, FastOptions());
   double dynamic_last = 0.0;
   double dynaff_last = 0.0;
   for (const FutureCurve& curve : result.curves) {
@@ -89,8 +94,7 @@ TEST(FutureSweepTest, ProductsEchoedInResult) {
   const WorkloadMix mix{.number = 4, .gravity = 2};
   FutureSweepOptions options = FastOptions();
   options.products = {1, 16};
-  const FutureSweepResult result = SweepFutureMachines(
-      SmallMachine(), mix, SmallApps(), PaperPenaltyTable(), 3, options);
+  const FutureSweepResult result = SmallSweep(mix, options);
   EXPECT_EQ(result.products, (std::vector<double>{1, 16}));
 }
 

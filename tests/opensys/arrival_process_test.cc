@@ -61,7 +61,8 @@ TEST(ArrivalsTest, PlanDrivesEngineToCompletion) {
 
 TEST(ArrivalsTest, HorizonBoundedGenerationStopsBeforeTEnd) {
   const SimTime t_end = Seconds(100);
-  const auto plan = PoissonArrivalsUntil(t_end, Seconds(2), {1.0}, 14);
+  PoissonProcess process(Seconds(2), {1.0});
+  const auto plan = GenerateArrivals(process, 14, /*max_count=*/0, t_end);
   ASSERT_FALSE(plan.empty());
   for (const auto& entry : plan) {
     EXPECT_LT(entry.when, t_end);
@@ -128,71 +129,6 @@ TEST(OnOffTest, BurstierThanPoissonAtSameRate) {
   const double mean = sum / n;
   const double var = sumsq / n - mean * mean;
   EXPECT_GT(var / (mean * mean), 1.5);
-}
-
-TEST(TraceTest, CsvParsesSkipsCommentsAndHeader) {
-  const std::string csv =
-      "# recorded arrivals\n"
-      "t_s,app\n"
-      "0.5, 0\n"
-      "1.25,2\n"
-      "\n"
-      "3.0,1\n";
-  std::vector<ArrivalPlanEntry> entries;
-  std::string error;
-  ASSERT_TRUE(ParseArrivalTraceCsv(csv, &entries, &error)) << error;
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].when, Seconds(0.5));
-  EXPECT_EQ(entries[0].app_index, 0u);
-  EXPECT_EQ(entries[1].app_index, 2u);
-  EXPECT_EQ(entries[2].when, Seconds(3.0));
-}
-
-TEST(TraceTest, CsvRejectsOutOfOrderTimes) {
-  std::vector<ArrivalPlanEntry> entries;
-  std::string error;
-  EXPECT_FALSE(ParseArrivalTraceCsv("1.0,0\n0.5,0\n", &entries, &error));
-  EXPECT_NE(error.find("line 2"), std::string::npos);
-}
-
-TEST(TraceTest, CsvRejectsMalformedRow) {
-  std::vector<ArrivalPlanEntry> entries;
-  std::string error;
-  EXPECT_FALSE(ParseArrivalTraceCsv("0.5,0\nnot-a-number,1\n", &entries, &error));
-  EXPECT_FALSE(ParseArrivalTraceCsv("0.5,0\n1.0,1.5\n", &entries, &error));
-  EXPECT_FALSE(ParseArrivalTraceCsv("-1.0,0\n", &entries, &error));
-}
-
-TEST(TraceTest, JsonlParses) {
-  const std::string jsonl =
-      "{\"t_s\":0.5,\"app\":0}\n"
-      "{\"app\": 1, \"t_s\": 2.25}\n";
-  std::vector<ArrivalPlanEntry> entries;
-  std::string error;
-  ASSERT_TRUE(ParseArrivalTraceJsonl(jsonl, &entries, &error)) << error;
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].when, Seconds(0.5));
-  EXPECT_EQ(entries[1].when, Seconds(2.25));
-  EXPECT_EQ(entries[1].app_index, 1u);
-}
-
-TEST(TraceTest, JsonlRejectsMissingField) {
-  std::vector<ArrivalPlanEntry> entries;
-  std::string error;
-  EXPECT_FALSE(ParseArrivalTraceJsonl("{\"t_s\":0.5}\n", &entries, &error));
-  EXPECT_NE(error.find("app"), std::string::npos);
-}
-
-TEST(TraceTest, TraceProcessReplaysAndExhausts) {
-  std::vector<ArrivalPlanEntry> entries = {{0, Seconds(1)}, {1, Seconds(2)}};
-  TraceArrivalProcess process(entries);
-  const auto plan = GenerateArrivals(process, 0, 0, 0);  // finite: no bound needed
-  ASSERT_EQ(plan.size(), 2u);
-  ArrivalPlanEntry entry;
-  process.Reset(0);
-  EXPECT_TRUE(process.Next(&entry));
-  EXPECT_TRUE(process.Next(&entry));
-  EXPECT_FALSE(process.Next(&entry));
 }
 
 TEST(ArrivalsDeathTest, EmptyWeightsAbort) {

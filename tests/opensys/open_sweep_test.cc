@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/runner/sweep.h"
 #include "tests/serve/json_testing.h"
 
 namespace affsched {
@@ -54,6 +55,11 @@ TEST(OpenSweepSpecTest, OverridesApply) {
   EXPECT_DOUBLE_EQ(spec.onoff_burst_factor, 8.0);
   ASSERT_TRUE(ParseOpenSweepSpec("opensys;warmup=mser", &spec, &error)) << error;
   EXPECT_EQ(spec.open.warmup_rule, WarmupRule::kMser);
+  // The size caps are inclusive.
+  ASSERT_TRUE(ParseOpenSweepSpec("opensys-smoke;reps=1000;count=1000000", &spec, &error))
+      << error;
+  EXPECT_EQ(spec.replications, kMaxReplications);
+  EXPECT_EQ(spec.jobs_per_cell, kMaxArrivalsPerCell);
 }
 
 TEST(OpenSweepSpecTest, TopologyKeyParsesAndValidates) {
@@ -79,7 +85,9 @@ TEST(OpenSweepSpecTest, MalformedSpecsRejected) {
         "opensys-smoke;count=12x", "opensys-smoke;reps=0", "opensys-smoke;mpl-cap=-1",
         "opensys-smoke;max-queue=1.5", "opensys-smoke;warmup=nan", "opensys-smoke;burst=1",
         "opensys-smoke;burst=1e300;arrivals=onoff", "opensys-smoke;burst=1001",
-        "opensys-smoke;speed=1e-300", "opensys-smoke;cache=1e300"}) {
+        "opensys-smoke;speed=1e-300", "opensys-smoke;cache=1e300",
+        "opensys-smoke;count=1000000000", "opensys-smoke;count=1000001",
+        "opensys-smoke;reps=1001", "opensys-smoke;procs=1000000000"}) {
     OpenSweepSpec spec;
     std::string error;
     EXPECT_FALSE(ParseOpenSweepSpec(text, &spec, &error)) << text;

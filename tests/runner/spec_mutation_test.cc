@@ -1,10 +1,12 @@
 // Deterministic mutation test over the three spec grammars (closed sweeps,
-// open sweeps, topologies). The corpus is every preset plus the override
-// examples in README.md and EXPERIMENTS.md. Each mutant is a truncation, a
-// deleted byte, or one byte replaced by a character the grammar gives
-// meaning to. Every mutant must either fail with a message or parse into a
-// spec the machine accepts with every number finite, so no spelling reaches
-// the engine carrying NaN or a half-read value.
+// open sweeps, topologies). The corpus is every preset, the override
+// examples in README.md and EXPERIMENTS.md, the grids bench_fig6_nopri and
+// bench_table4_homogeneous run, and specs sitting at the size caps. Each
+// mutant is a truncation, a deleted byte, or one byte replaced by a
+// character the grammar gives meaning to. Every mutant must either fail with
+// a message or parse into a spec the machine accepts with every number
+// finite and every size within its cap, so no spelling reaches the engine
+// carrying NaN, a half-read value or an allocation that cannot fit.
 
 #include <gtest/gtest.h>
 
@@ -54,7 +56,8 @@ bool TopologyFinite(const TopologySpec& topology) {
 
 bool MachineSane(const MachineConfig& machine) {
   return machine.Validate().empty() && TopologyFinite(machine.topology) &&
-         AllFinite({machine.processor_speed, machine.cache_size_factor});
+         AllFinite({machine.processor_speed, machine.cache_size_factor}) &&
+         machine.num_processors <= kMaxProcessors;
 }
 
 TEST(SpecMutationTest, EveryMutantFailsCleanlyOrParsesToASaneSpec) {
@@ -64,25 +67,32 @@ TEST(SpecMutationTest, EveryMutantFailsCleanlyOrParsesToASaneSpec) {
                 "policies=equi,dyn-aff;mixes=1,5;reps=3-5;precision=0.01", "fig5;reps=2",
                 "smoke;reps=2", "fig5;observability=1", "smoke;topology=cmp-2x10",
                 "fig5;topology=numa-4x8", "smoke;topology=numa-4x8,llc-kb=2048,remote=2.5",
-                "mq;steal=sibling", "rt;deadline-mix=tight"})) {
+                "mq;steal=sibling", "rt;deadline-mix=tight",
+                "fig5;policies=equi,dyn-aff-nopri,dyn-aff;seed=2000",
+                "fig5;policies=dyn-aff,dyn-aff-nopri;mixes=1,4;reps=4-8;seed=4000",
+                "smoke;reps=1000;procs=4096"})) {
     SweepSpec spec;
     std::string error;
     if (ParseSweepSpec(text, &spec, &error)) {
       ++parsed;
       EXPECT_TRUE(MachineSane(spec.machine)) << text;
       EXPECT_TRUE(AllFinite({spec.replication.relative_precision})) << text;
+      EXPECT_LE(spec.replication.max_replications, kMaxReplications) << text;
     } else {
       EXPECT_FALSE(error.empty()) << text;
     }
   }
   for (const std::string& text :
        Mutants({"opensys", "opensys-smoke", "opensys;warmup=mser;burst=8;seed=77",
-                "opensys;rhos=0.5,0.9;arrivals=onoff;mpl-cap=6"})) {
+                "opensys;rhos=0.5,0.9;arrivals=onoff;mpl-cap=6",
+                "opensys-smoke;count=1000000;reps=1000;procs=4096"})) {
     OpenSweepSpec spec;
     std::string error;
     if (ParseOpenSweepSpec(text, &spec, &error)) {
       ++parsed;
       EXPECT_TRUE(MachineSane(spec.machine)) << text;
+      EXPECT_LE(spec.replications, kMaxReplications) << text;
+      EXPECT_LE(spec.jobs_per_cell, kMaxArrivalsPerCell) << text;
       EXPECT_TRUE(AllFinite({spec.onoff_burst_factor, spec.open.warmup_fraction})) << text;
       for (const double rho : spec.rhos) {
         EXPECT_TRUE(rho > 0.0 && rho <= 1.5) << text;

@@ -47,6 +47,10 @@ TEST(SweepSpecTest, PresetWithOverrides) {
   EXPECT_EQ(spec.replication.max_replications, 2u);
   EXPECT_EQ(spec.machine.num_processors, 8u);
   EXPECT_EQ(spec.root_seed, 77u);
+  // The size caps are inclusive.
+  ASSERT_TRUE(ParseSweepSpec("smoke;reps=1-1000;procs=4096", &spec, &error)) << error;
+  EXPECT_EQ(spec.replication.max_replications, kMaxReplications);
+  EXPECT_EQ(spec.machine.num_processors, kMaxProcessors);
 }
 
 TEST(SweepSpecTest, CustomSpecParses) {
@@ -86,7 +90,9 @@ TEST(SweepSpecTest, RejectsMalformedSpecs) {
         "smoke;steal=,numa", "smoke;reps=2-", "smoke;reps=1.5", "smoke;precision=nan",
         "smoke;balance-interval=nan", "smoke;balance-interval=-5", "smoke;rt=2",
         "smoke;speed=1e-300", "smoke;speed=1e300", "smoke;cache=1e-300", "smoke;cache=1e300",
-        "smoke;balance-interval=1e300", "smoke;balance-interval=1000001"}) {
+        "smoke;balance-interval=1e300", "smoke;balance-interval=1000001",
+        "smoke;reps=1000000000", "smoke;reps=1001", "smoke;reps=2-1001",
+        "smoke;procs=1000000000", "smoke;procs=4097"}) {
     SweepSpec spec;
     std::string error;
     EXPECT_FALSE(ParseSweepSpec(text, &spec, &error)) << text;

@@ -79,6 +79,37 @@ TEST(WireTest, LineChannelSurfacesUnterminatedTailThenEof) {
   EXPECT_FALSE(server.ReadLine(&line));
 }
 
+TEST(WireTest, LineChannelStopsAtAnOverlongLine) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // A line of exactly kMaxLineBytes still reads; 2 MiB more without a
+  // newline must end the channel instead of growing its buffer.
+  std::thread writer([&] {
+    const std::string bytes =
+        std::string(kMaxLineBytes, 'a') + "\n" + std::string(2 * kMaxLineBytes, 'x');
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fds[0], bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) {
+        break;  // the reader closed its end
+      }
+      sent += static_cast<size_t>(n);
+    }
+    ::close(fds[0]);
+  });
+  {
+    LineChannel server(fds[1]);
+    std::string line;
+    EXPECT_TRUE(server.ReadLine(&line));
+    EXPECT_EQ(line.size(), kMaxLineBytes);
+    EXPECT_FALSE(server.overlong());
+    EXPECT_FALSE(server.ReadLine(&line));
+    EXPECT_TRUE(server.overlong());
+    EXPECT_FALSE(server.ReadLine(&line));
+  }  // closing the server end fails the writer's pending send
+  writer.join();
+}
+
 TEST(WireTest, ListenAndConnectRoundTrip) {
   const std::string path = ::testing::TempDir() + "/wire_test.sock";
   std::string error;

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace affsched {
 namespace {
 
@@ -32,20 +30,6 @@ TEST(JainIndexTest, ScaleInvariant) {
     b.push_back(x * 1000);
   }
   EXPECT_NEAR(JainFairnessIndex(a), JainFairnessIndex(b), 1e-12);
-}
-
-TEST(MaxMinRatioTest, Basic) {
-  EXPECT_DOUBLE_EQ(MaxMinRatio({2, 4, 8}), 4.0);
-  EXPECT_DOUBLE_EQ(MaxMinRatio({3, 3, 3}), 1.0);
-  EXPECT_DOUBLE_EQ(MaxMinRatio({}), 1.0);
-  EXPECT_TRUE(std::isinf(MaxMinRatio({0, 1})));
-}
-
-TEST(CoefficientOfVariationTest, Basic) {
-  EXPECT_DOUBLE_EQ(CoefficientOfVariation({7, 7, 7}), 0.0);
-  EXPECT_DOUBLE_EQ(CoefficientOfVariation({}), 0.0);
-  // mean 2, variance ((1)^2+(1)^2)/2 = 1, cv = 1/2.
-  EXPECT_NEAR(CoefficientOfVariation({1, 3}), 0.5, 1e-12);
 }
 
 TEST(FairnessDeathTest, NegativeValueAborts) {

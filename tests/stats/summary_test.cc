@@ -62,49 +62,5 @@ TEST(StudentTTest, HigherConfidenceWidens) {
   EXPECT_GT(StudentTCritical(10, 0.95), StudentTCritical(10, 0.90));
 }
 
-TEST(ReplicationControllerTest, StopsWhenPrecise) {
-  ReplicationController ctl(0.01, 0.95, 3, 100);
-  // Identical observations: precise immediately after the minimum.
-  ctl.Add(10.0);
-  EXPECT_FALSE(ctl.Done());
-  ctl.Add(10.0);
-  EXPECT_FALSE(ctl.Done());
-  ctl.Add(10.0);
-  EXPECT_TRUE(ctl.Done());
-}
-
-TEST(ReplicationControllerTest, KeepsGoingWhenNoisy) {
-  ReplicationController ctl(0.001, 0.95, 2, 1000);
-  Rng rng(3);
-  ctl.Add(rng.NextNormal(10, 5));
-  ctl.Add(rng.NextNormal(10, 5));
-  ctl.Add(rng.NextNormal(10, 5));
-  EXPECT_FALSE(ctl.Done());
-}
-
-TEST(ReplicationControllerTest, RespectsMaxCap) {
-  ReplicationController ctl(1e-9, 0.95, 2, 5);
-  Rng rng(3);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_FALSE(ctl.Done());
-    ctl.Add(rng.NextNormal(10, 5));
-  }
-  EXPECT_TRUE(ctl.Done());
-}
-
-TEST(ReplicationControllerTest, PaperStoppingRule) {
-  // The paper's rule: 95% CI within 1% of the point estimate.
-  ReplicationController ctl(0.01, 0.95, 3, 10000);
-  Rng rng(11);
-  size_t reps = 0;
-  while (!ctl.Done()) {
-    ctl.Add(rng.NextNormal(100.0, 1.0));
-    ++reps;
-  }
-  const Summary& s = ctl.summary();
-  EXPECT_LE(s.ConfidenceHalfWidth(0.95), 0.01 * s.mean());
-  EXPECT_LT(reps, 100u);
-}
-
 }  // namespace
 }  // namespace affsched

@@ -14,7 +14,6 @@
 #include "src/sched/factory.h"
 #include "src/sched/metered.h"
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/profile.h"
 
 namespace affsched {
 namespace {
@@ -77,12 +76,11 @@ INSTANTIATE_TEST_SUITE_P(Policies, EngineMetricsTest,
 TEST(MeteredPolicy, CountsDecisionsWithoutChangingThem) {
   MachineConfig machine;
   machine.num_processors = 8;
-  auto run = [&](bool metered, MetricsRegistry* registry, ProfileSection* section) {
+  auto run = [&](bool metered, MetricsRegistry* registry) {
     std::unique_ptr<Policy> policy = MakePolicy(PolicyKind::kDynAff);
     if (metered) {
       auto wrapped = std::make_unique<MeteredPolicy>(std::move(policy));
       wrapped->AttachMetrics(registry);
-      wrapped->AttachProfiler(section);
       policy = std::move(wrapped);
     }
     Engine engine(machine, std::move(policy), 42);
@@ -92,10 +90,8 @@ TEST(MeteredPolicy, CountsDecisionsWithoutChangingThem) {
   };
 
   MetricsRegistry registry;
-  Profiler profiler;
-  ProfileSection* section = profiler.Section("policy");
-  const SimTime plain = run(false, nullptr, nullptr);
-  const SimTime metered = run(true, &registry, section);
+  const SimTime plain = run(false, nullptr);
+  const SimTime metered = run(true, &registry);
   EXPECT_EQ(plain, metered);  // the decorator must be behaviourally invisible
 
   EXPECT_EQ(registry.FindCounter("policy.on_arrival")->value(), 2.0);
@@ -104,14 +100,6 @@ TEST(MeteredPolicy, CountsDecisionsWithoutChangingThem) {
   EXPECT_EQ(registry.FindCounter("policy.on_departure")->value(), 1.0);
   EXPECT_GT(registry.FindCounter("policy.on_request")->value(), 0.0);
   EXPECT_GT(registry.FindCounter("policy.assignments")->value(), 0.0);
-  EXPECT_GT(section->count(), 0u);
-  // Every hook invocation got timed exactly once.
-  const double hook_calls = registry.FindCounter("policy.on_arrival")->value() +
-                            registry.FindCounter("policy.on_departure")->value() +
-                            registry.FindCounter("policy.on_available")->value() +
-                            registry.FindCounter("policy.on_request")->value() +
-                            registry.FindCounter("policy.on_quantum")->value();
-  EXPECT_EQ(static_cast<double>(section->count()), hook_calls);
 }
 
 TEST(EngineMetrics, AttachingMetricsDoesNotPerturbTheSimulation) {

@@ -8,7 +8,6 @@
 #include <sstream>
 
 #include "src/telemetry/json.h"
-#include "src/telemetry/profile.h"
 #include "tests/serve/json_testing.h"
 
 namespace affsched {
@@ -34,31 +33,6 @@ TEST(Json, NumberNeverEmitsNonFiniteLiterals) {
   EXPECT_TRUE(ParsesAsJson(JsonNumber(0.1)));
 }
 
-TEST(Profiler, SectionsAccumulate) {
-  Profiler profiler;
-  ProfileSection* a = profiler.Section("alpha");
-  EXPECT_EQ(profiler.Section("alpha"), a);
-  a->Add(100);
-  a->Add(300);
-  EXPECT_EQ(a->total_ns(), 400u);
-  EXPECT_EQ(a->count(), 2u);
-  EXPECT_DOUBLE_EQ(a->MeanNs(), 200.0);
-  EXPECT_TRUE(ParsesAsJson(profiler.ToJson()));
-  EXPECT_NE(profiler.Report().find("alpha"), std::string::npos);
-}
-
-TEST(ScopedTimer, AccumulatesIntoSectionAndToleratesNull) {
-  Profiler profiler;
-  ProfileSection* s = profiler.Section("timed");
-  {
-    ScopedTimer t(s);
-  }
-  EXPECT_EQ(s->count(), 1u);
-  {
-    ScopedTimer t(nullptr);  // must be a no-op, not a crash
-  }
-}
-
 TEST(RunManifest, IncludesBuildMetadataAndIsValidJson) {
   RunManifest manifest;
   const std::string json = manifest.ToJson();
@@ -76,15 +50,11 @@ TEST(RunManifest, MembersAndMetricsEmbed) {
   MetricsRegistry registry;
   registry.FindOrCreateCounter("engine.dispatches")->Add(7.0);
   manifest.AddMetrics(registry);
-  Profiler profiler;
-  profiler.Section("run")->Add(1000);
-  manifest.AddProfile(profiler);
 
   const std::string json = manifest.ToJson();
   EXPECT_TRUE(ParsesAsJson(json)) << json;
   EXPECT_NE(json.find("\"seed\":42"), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
-  EXPECT_NE(json.find("\"profile\""), std::string::npos);
   EXPECT_NE(json.find("engine.dispatches"), std::string::npos);
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/telemetry/cache_metrics.h"
 #include "tests/serve/json_testing.h"
 
 namespace affsched {
@@ -142,38 +141,6 @@ TEST(MetricsRegistry, ToJsonIsValidJson) {
 
 TEST(MetricsRegistry, EmptyRegistryStillRendersValidJson) {
   MetricsRegistry registry;
-  EXPECT_TRUE(ParsesAsJson(registry.ToJson()));
-}
-
-TEST(CacheMetrics, ExactCacheCountersExport) {
-  ExactCache cache(CacheGeometry{});
-  cache.Access(1, 0);  // miss (cold)
-  cache.Access(1, 0);  // hit
-  cache.Access(2, 0);  // conflict: invalidates owner 1's line
-
-  MetricsRegistry registry;
-  ExportExactCacheMetrics(registry, "cache", cache);
-  EXPECT_EQ(registry.FindCounter("cache.hits")->value(), static_cast<double>(cache.hits()));
-  EXPECT_EQ(registry.FindCounter("cache.misses")->value(), static_cast<double>(cache.misses()));
-  EXPECT_EQ(registry.FindCounter("cache.invalidated_lines")->value(),
-            static_cast<double>(cache.invalidated_lines()));
-  EXPECT_GE(cache.misses(), 2u);
-  EXPECT_GE(cache.hits(), 1u);
-}
-
-TEST(CacheMetrics, CoherentCachesExportIncludesProtocolTotals) {
-  CoherentCaches caches(2, CacheGeometry{});
-  caches.Access(0, 1, 0, CoherentCaches::AccessType::kWrite);
-  caches.Access(1, 1, 0, CoherentCaches::AccessType::kRead);  // remote dirty line
-
-  MetricsRegistry registry;
-  ExportCoherentCachesMetrics(registry, "coh", caches);
-  ASSERT_NE(registry.FindCounter("coh.invalidations"), nullptr);
-  ASSERT_NE(registry.FindCounter("coh.bus_transfers"), nullptr);
-  ASSERT_NE(registry.FindCounter("coh.cache0.misses"), nullptr);
-  ASSERT_NE(registry.FindCounter("coh.cache1.misses"), nullptr);
-  EXPECT_EQ(registry.FindCounter("coh.bus_transfers")->value(),
-            static_cast<double>(caches.total_bus_transfers()));
   EXPECT_TRUE(ParsesAsJson(registry.ToJson()));
 }
 

@@ -18,14 +18,17 @@ to end:
                 the missing ones re-simulate, and the final document must be
                 byte-identical to the golden.
 
-  hostile-spec  Submit specs carrying non-finite or absurd numbers: each must
-                come back as an "error" event. On one raw connection, send a
-                line that is not JSON, an object without "op" and an unknown
-                op (each must get an "error" event), then a valid submit
-                that must get its result. Then a client submits and hangs up
-                after "planned": the daemon must finish and cache that sweep,
-                so the same spec resubmitted on a new connection is all
-                cache hits.
+  hostile-spec  Submit specs carrying non-finite or absurd numbers, or sizes
+                that cannot fit in memory: each must come back as an "error"
+                event. On one raw connection, send a line that is not JSON,
+                an object without "op" and an unknown op (each must get an
+                "error" event), then a valid submit that must get its result.
+                Stream 2 MiB with no newline: the daemon must answer "error"
+                and close that connection, and a valid submit on a new
+                connection must get its result. Then a client submits and
+                hangs up after "planned": the daemon must finish and cache
+                that sweep, so the same spec resubmitted on a new connection
+                is all cache hits.
 
 Usage:
   tools/serve_integration_test.py --served BIN --mode cache-twice \
@@ -221,6 +224,19 @@ def mode_kill_resume(harness):
           "document matches golden" % (survivors, total, resumed["executed"]))
 
 
+def submit_valid(conn, after):
+    """Submits a one-rep smoke sweep on `conn`; it must get a non-empty result."""
+    conn.send_line(json.dumps({"op": "submit", "spec": "smoke;reps=1"}))
+    while True:
+        event = conn.next_event()
+        if event.get("event") == "error":
+            fail("valid submit after %s failed: %s" % (after, event))
+        if event.get("event") == "result":
+            break
+    if event["cells"] == 0:
+        fail("valid submit after %s returned no cells: %s" % (after, event))
+
+
 def mode_hostile_spec(harness):
     daemon = harness.start_daemon()
 
@@ -229,10 +245,12 @@ def mode_hostile_spec(harness):
             fail("daemon exited after %s" % after)
 
     for spec in ("smoke;speed=nan", "smoke;cache=nan", "smoke;topology=numa-4x8,remote=nan",
-                 "smoke;reps=1;speed=1e-300", "smoke;reps=1;speed=1e300"):
+                 "smoke;reps=1;speed=1e-300", "smoke;reps=1;speed=1e300",
+                 "smoke;reps=1000000000", "smoke;procs=1000000000"):
+        # Rejected while parsing, before the daemon allocates anything for it.
         result = harness.client("daemon.sock", "submit", spec, "--quiet", check=False)
-        if result.returncode == 0 or "server error:" not in result.stderr:
-            fail("%s was not answered with an error event:\n%s" % (spec, result.stderr))
+        if result.returncode == 0 or "server error: bad spec:" not in result.stderr:
+            fail("%s was not rejected as a bad spec:\n%s" % (spec, result.stderr))
         check_alive(spec)
 
     # Malformed requests among valid ones, all on one connection.
@@ -242,17 +260,30 @@ def mode_hostile_spec(harness):
         event = conn.next_event()
         if event.get("event") != "error":
             fail("request %r was answered with %s" % (line, event))
-    conn.send_line(json.dumps({"op": "submit", "spec": "smoke;reps=1"}))
-    while True:
-        event = conn.next_event()
-        if event.get("event") == "error":
-            fail("valid submit after malformed requests failed: %s" % event)
-        if event.get("event") == "result":
-            break
+    submit_valid(conn, "malformed requests")
     conn.close()
-    if event["cells"] == 0:
-        fail("valid submit after malformed requests returned no cells: %s" % event)
     check_alive("malformed requests")
+
+    # 2 MiB with no newline: the daemon stops reading at 1 MiB, answers
+    # "error" and closes the connection.
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30)  # a daemon that waits for the newline fails, not hangs
+    sock.connect(harness.path("daemon.sock"))
+    try:
+        sock.sendall(b"x" * (2 << 20))
+    except OSError:
+        pass  # the daemon closed the connection mid-line, as it should
+    try:
+        reply = sock.makefile("r", encoding="utf-8").readline()
+    except OSError as e:
+        fail("no answer to a 2 MiB unterminated line: %s" % e)
+    sock.close()
+    if not reply or json.loads(reply).get("event") != "error":
+        fail("a 2 MiB unterminated line was answered with %r" % reply)
+    check_alive("a 2 MiB unterminated line")
+    conn = harness.connect("daemon.sock")
+    submit_valid(conn, "a 2 MiB unterminated line")
+    conn.close()
 
     # A client that hangs up mid-stream: the daemon keeps serving and still
     # finishes the abandoned sweep into the cache. Adaptive reps give the
@@ -270,7 +301,7 @@ def mode_hostile_spec(harness):
     harness.shutdown("daemon.sock")
     if summary["cells"] == 0 or summary["hits"] != summary["cells"]:
         fail("abandoned sweep was not finished into the cache: %s" % summary)
-    print("hostile-spec: hostile specs and malformed requests rejected, "
+    print("hostile-spec: hostile specs, malformed requests and an over-long line rejected, "
           "abandoned sweep cached (%d/%d hits on resubmit)" % (summary["hits"], summary["cells"]))
 
 
