@@ -30,7 +30,6 @@
 #include "src/runner/runner.h"
 #include "src/runner/sweep.h"
 #include "src/runner/worker_pool.h"
-#include "src/sched/metered.h"
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/manifest.h"
 #include "src/telemetry/metrics.h"
@@ -253,9 +252,11 @@ int RunOpenMode(const FlagSet& flags, int argc, char** argv) {
     manifest.SetNumber("cells", static_cast<double>(result.cells.size()));
     manifest.SetNumber("mean_demand_s", result.mean_demand_s);
     manifest.SetBool("littles_law_ok", result.AllLittlesLawOk());
-    if (manifest.WriteFile(manifest_path)) {
-      std::printf("wrote run manifest to %s\n", manifest_path.c_str());
+    if (!manifest.WriteFile(manifest_path)) {
+      std::printf("failed to write %s\n", manifest_path.c_str());
+      return 1;
     }
+    std::printf("wrote run manifest to %s\n", manifest_path.c_str());
   }
   return result.AllLittlesLawOk() ? 0 : 1;
 }
@@ -339,7 +340,7 @@ int main(int argc, char** argv) {
   flags.AddBool("list-topologies", false, "list the topology presets and exit");
   flags.AddBool("gantt", false, "render an ASCII Gantt chart");
   flags.AddBool("csv", false, "dump the event trace as CSV to stdout");
-  flags.AddBool("metrics", false, "print end-of-run metric totals and reconcile them");
+  flags.AddBool("metrics", false, "print end-of-run metric totals");
   flags.AddString("chrome-trace", "", "write a Chrome/Perfetto trace-event JSON file here");
   flags.AddString("decision-trace", "",
                   "write scheduling-decision provenance JSONL here (single-run "
@@ -485,17 +486,10 @@ int main(int argc, char** argv) {
       flags.GetBool("metrics") || !manifest_path.empty();
 
   MetricsRegistry registry;
-  std::unique_ptr<Policy> policy = MakePolicy(kind);
-  if (want_metrics) {
-    auto metered = std::make_unique<MeteredPolicy>(std::move(policy));
-    metered->AttachMetrics(&registry);
-    policy = std::move(metered);
-  }
-
   RingTrace trace;
   Engine::Options engine_options;
   engine_options.balance_interval = Milliseconds(flags.GetDouble("balance-interval"));
-  Engine engine(machine, std::move(policy), static_cast<uint64_t>(flags.GetInt("seed")),
+  Engine engine(machine, MakePolicy(kind), static_cast<uint64_t>(flags.GetInt("seed")),
                 engine_options);
   if (flags.GetBool("gantt") || flags.GetBool("csv") || !chrome_trace_path.empty()) {
     engine.SetTraceSink(&trace);
@@ -578,9 +572,6 @@ int main(int argc, char** argv) {
 
   if (flags.GetBool("metrics")) {
     std::printf("\n%s", registry.RenderText().c_str());
-    const MetricsReconciliation rec = ReconcileEngineMetrics(engine, registry);
-    std::printf("\nreconciliation vs JobStats: %s\n%s", rec.ok ? "OK" : "MISMATCH",
-                rec.report.c_str());
   }
 
   std::vector<std::string> job_names;
@@ -589,15 +580,25 @@ int main(int argc, char** argv) {
     job_names.push_back(engine.job_name(id));
   }
 
+  // An output that was asked for and cannot be written fails the run, as
+  // --out does; the remaining outputs are still attempted.
+  int status = 0;
+  const auto wrote = [&status](bool ok, const std::string& path) {
+    if (!ok) {
+      std::printf("\nfailed to write %s\n", path.c_str());
+      status = 1;
+    }
+    return ok;
+  };
   if (!decision_path.empty() &&
-      Sampler::WriteFile(decision_path, decisions.ToJsonl())) {
+      wrote(Sampler::WriteFile(decision_path, decisions.ToJsonl()), decision_path)) {
     std::printf("\nwrote %zu decision records to %s\n", decisions.Records().size(),
                 decision_path.c_str());
     if (decisions.dropped() > 0) {
       std::printf("warning: decision ring dropped %zu early records\n", decisions.dropped());
     }
   }
-  if (!spans_path.empty() && Sampler::WriteFile(spans_path, spans.ToJsonl())) {
+  if (!spans_path.empty() && wrote(Sampler::WriteFile(spans_path, spans.ToJsonl()), spans_path)) {
     std::printf("\nwrote %zu job lifecycle spans to %s\n", spans.jobs().size(),
                 spans_path.c_str());
   }
@@ -612,7 +613,8 @@ int main(int argc, char** argv) {
     if (!spans_path.empty()) {
       writer.AttachLifecycles(&spans);
     }
-    if (writer.WriteJsonFile(chrome_trace_path, machine.num_processors, job_names)) {
+    if (wrote(writer.WriteJsonFile(chrome_trace_path, machine.num_processors, job_names),
+              chrome_trace_path)) {
       std::printf("\nwrote %zu trace events to %s (load in chrome://tracing or Perfetto)\n",
                   writer.size(), chrome_trace_path.c_str());
       if (trace.dropped() > 0) {
@@ -621,7 +623,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!samples_path.empty() &&
-      Sampler::WriteFile(samples_path, sampler.ToCsv())) {
+      wrote(Sampler::WriteFile(samples_path, sampler.ToCsv()), samples_path)) {
     std::printf("\nwrote %zu samples x %zu probes to %s\n", sampler.num_samples(),
                 sampler.num_probes(), samples_path.c_str());
   }
@@ -640,9 +642,9 @@ int main(int argc, char** argv) {
     manifest.SetUint("seed", static_cast<uint64_t>(flags.GetInt("seed")));
     manifest.SetNumber("makespan_s", ToSeconds(end));
     manifest.AddMetrics(registry);
-    if (manifest.WriteFile(manifest_path)) {
+    if (wrote(manifest.WriteFile(manifest_path), manifest_path)) {
       std::printf("\nwrote run manifest to %s\n", manifest_path.c_str());
     }
   }
-  return 0;
+  return status;
 }

@@ -1,101 +1,147 @@
 #include "src/engine/accounting.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 #include "src/common/check.h"
 
 namespace affsched {
 
+namespace {
+
+// The engine.* counter each scheduling event bumps; nullptr for the kinds
+// whose totals JobStats holds.
+const char* EventCounterName(TraceEventKind kind) {
+  switch (kind) {
+    case TraceEventKind::kJobArrival:
+      return "engine.job_arrivals";
+    case TraceEventKind::kJobCompletion:
+      return "engine.job_completions";
+    case TraceEventKind::kSwitchStart:
+      return "engine.switches";
+    case TraceEventKind::kResume:
+      return "engine.resumes";
+    case TraceEventKind::kPreempt:
+      return "engine.preempts";
+    case TraceEventKind::kHold:
+      return "engine.holds";
+    case TraceEventKind::kYield:
+      return "engine.yields";
+    case TraceEventKind::kRelease:
+      return "engine.releases";
+    case TraceEventKind::kThreadComplete:
+      return "engine.thread_completions";
+    case TraceEventKind::kDispatch:
+    case TraceEventKind::kDeadlineMiss:
+      return nullptr;
+  }
+  return nullptr;
+}
+
+// The policy.* counter of the policy hook behind each decision site;
+// nullptr for sites that are not a hook.
+const char* DecisionCounterName(DecisionSite site) {
+  switch (site) {
+    case DecisionSite::kJobArrival:
+      return "policy.on_arrival";
+    case DecisionSite::kJobDeparture:
+      return "policy.on_departure";
+    case DecisionSite::kProcessorAvailable:
+      return "policy.on_available";
+    case DecisionSite::kRequest:
+      return "policy.on_request";
+    case DecisionSite::kQuantumExpiry:
+      return "policy.on_quantum";
+    case DecisionSite::kBalanceTick:
+      return "policy.on_balance";
+    case DecisionSite::kUnknown:
+    case DecisionSite::kReconcile:
+      return nullptr;
+  }
+  return nullptr;
+}
+
+// A JobStats duration as the whole nanoseconds the *_ns metrics report.
+double WholeNanoseconds(double seconds) { return std::round(seconds * 1e9); }
+
+}  // namespace
+
 void Accounting::SetMetrics(MetricsRegistry* registry) {
   AFF_CHECK_MSG(!core_.running, "SetMetrics must be called before Run()");
   metrics_ = registry;
-  m = MetricHandles{};
-  if (registry == nullptr) {
-    return;
+  const auto counter = [registry](const char* name) {
+    return registry != nullptr && name != nullptr ? registry->FindOrCreateCounter(name) : nullptr;
+  };
+  const auto histogram = [registry](const char* name) {
+    return registry != nullptr ? registry->FindOrCreateHistogram(name, DefaultLatencyBucketsUs())
+                               : nullptr;
+  };
+  for (size_t kind = 0; kind < kNumTraceEventKinds; ++kind) {
+    events_[kind] = counter(EventCounterName(static_cast<TraceEventKind>(kind)));
   }
-  m.job_arrivals = registry->FindOrCreateCounter("engine.job_arrivals");
-  m.job_completions = registry->FindOrCreateCounter("engine.job_completions");
-  m.dispatches = registry->FindOrCreateCounter("engine.dispatches");
-  m.dispatches_affine = registry->FindOrCreateCounter("engine.dispatches_affine");
-  m.resumes = registry->FindOrCreateCounter("engine.resumes");
-  m.preempts = registry->FindOrCreateCounter("engine.preempts");
-  m.switches = registry->FindOrCreateCounter("engine.switches");
-  m.switch_time_ns = registry->FindOrCreateCounter("engine.switch_time_ns");
-  m.holds = registry->FindOrCreateCounter("engine.holds");
-  m.yields = registry->FindOrCreateCounter("engine.yields");
-  m.releases = registry->FindOrCreateCounter("engine.releases");
-  m.thread_completions = registry->FindOrCreateCounter("engine.thread_completions");
-  m.chunks = registry->FindOrCreateCounter("engine.chunks");
-  m.reload_stall_ns = registry->FindOrCreateCounter("engine.reload_stall_ns");
-  m.steady_stall_ns = registry->FindOrCreateCounter("engine.steady_stall_ns");
-  m.reload_llc_ns = registry->FindOrCreateCounter("engine.reload_llc_ns");
-  m.reload_remote_ns = registry->FindOrCreateCounter("engine.reload_remote_ns");
-  m.waste_ns = registry->FindOrCreateCounter("engine.waste_ns");
-  for (size_t tier = 0; tier < kNumDistanceTiers; ++tier) {
-    m.migrations[tier] = registry->FindOrCreateCounter(std::string("engine.migrations.") +
-                                                       DistanceTierName(tier));
-    m.steals[tier] =
-        registry->FindOrCreateCounter(std::string("engine.steals.") + DistanceTierName(tier));
+  for (size_t site = 0; site < kNumDecisionSites; ++site) {
+    decisions_[site] = counter(DecisionCounterName(static_cast<DecisionSite>(site)));
   }
-  m.balance_migrations = registry->FindOrCreateCounter("engine.balance_migrations");
-  m.deadline_misses = registry->FindOrCreateCounter("engine.deadline_misses");
-  m.tardiness_ns = registry->FindOrCreateCounter("engine.tardiness_ns");
-  m.active_jobs = registry->FindOrCreateGauge("engine.active_jobs");
-  m.reload_stall_us =
-      registry->FindOrCreateHistogram("engine.reload_stall_us", DefaultLatencyBucketsUs());
-  m.chunk_wall_us =
-      registry->FindOrCreateHistogram("engine.chunk_wall_us", DefaultLatencyBucketsUs());
-}
-
-void Accounting::ResolveJobMetrics() {
-  if (metrics_ == nullptr) {
-    return;
-  }
-  for (JobId id = 0; id < core_.jobs.size(); ++id) {
-    ResolveJobMetricsFor(id);
-  }
-}
-
-void Accounting::ResolveJobMetricsFor(JobId id) {
-  if (metrics_ == nullptr) {
-    return;
-  }
-  JobState& js = core_.jobs[id];
-  const std::string prefix = "engine.job." + js.job->name() + "#" + std::to_string(id);
-  js.metric_reallocations = metrics_->FindOrCreateCounter(prefix + ".reallocations");
-  js.metric_reload_stall_ns = metrics_->FindOrCreateCounter(prefix + ".reload_stall_ns");
+  assignments_ = counter("policy.assignments");
+  repartitions_ = counter("policy.repartitions");
+  chunks_ = counter("engine.chunks");
+  reload_stall_us_ = histogram("engine.reload_stall_us");
+  chunk_wall_us_ = histogram("engine.chunk_wall_us");
 }
 
 void Accounting::FinalizeMetrics() {
   if (metrics_ == nullptr) {
     return;
   }
-  metrics_->FindOrCreateCounter("bus.transfers")->Add(core_.machine.bus().total_transfers());
+  const auto add = [this](const std::string& name, double value) {
+    metrics_->FindOrCreateCounter(name)->Add(value);
+  };
+  add("bus.transfers", core_.machine.bus().total_transfers());
   metrics_->FindOrCreateGauge("bus.peak_utilization")
       ->Set(core_.machine.bus().peak_utilization());
   metrics_->FindOrCreateGauge("bus.utilization")
       ->Set(core_.machine.bus().UtilizationAt(core_.queue.now()));
 
-  // Affinity efficiency: how much of the machine time jobs consumed went to
-  // rebuilding cache context, and how often tasks landed on their context.
-  double useful = 0.0, reload = 0.0, steady = 0.0, switching = 0.0;
-  uint64_t dispatches = 0, affine = 0;
+  JobStats total;
   for (const JobState& js : core_.jobs) {
     const JobStats& st = js.job->stats();
-    useful += st.useful_work_s;
-    reload += st.reload_stall_s;
-    steady += st.steady_stall_s;
-    switching += st.switch_s;
-    dispatches += st.reallocations;
-    affine += st.affinity_dispatches;
+    total.Accumulate(st);
+    const std::string prefix =
+        "engine.job." + js.job->name() + "#" + std::to_string(js.job->id());
+    add(prefix + ".reallocations", static_cast<double>(st.reallocations));
+    add(prefix + ".reload_stall_ns", WholeNanoseconds(st.reload_stall_s));
   }
-  const double busy = useful + reload + steady + switching;
+  add("engine.dispatches", static_cast<double>(total.reallocations));
+  add("engine.dispatches_affine", static_cast<double>(total.affinity_dispatches));
+  add("engine.reload_stall_ns", WholeNanoseconds(total.reload_stall_s));
+  add("engine.steady_stall_ns", WholeNanoseconds(total.steady_stall_s));
+  add("engine.reload_llc_ns", WholeNanoseconds(total.reload_llc_s));
+  add("engine.reload_remote_ns", WholeNanoseconds(total.reload_remote_s));
+  add("engine.waste_ns", WholeNanoseconds(total.waste_s));
+  add("engine.switch_time_ns", WholeNanoseconds(total.switch_s));
+  // By distance tier. A same-processor pull is a local-queue dispatch, not a
+  // steal, so engine.steals.same_core stays 0.
+  const uint64_t migrations[kNumDistanceTiers] = {
+      total.migrations_same_core, total.migrations_same_cluster, total.migrations_same_node,
+      total.migrations_cross_node};
+  const uint64_t steals[kNumDistanceTiers] = {0, total.steals_same_cluster,
+                                              total.steals_same_node, total.steals_cross_node};
+  for (size_t tier = 0; tier < kNumDistanceTiers; ++tier) {
+    add(std::string("engine.migrations.") + DistanceTierName(tier),
+        static_cast<double>(migrations[tier]));
+    add(std::string("engine.steals.") + DistanceTierName(tier), static_cast<double>(steals[tier]));
+  }
+  add("engine.balance_migrations", static_cast<double>(total.balance_migrations));
+  add("engine.deadline_misses", static_cast<double>(total.deadline_misses));
+  add("engine.tardiness_ns", WholeNanoseconds(total.tardiness_s));
+  metrics_->FindOrCreateGauge("engine.active_jobs")
+      ->Set(static_cast<double>(core_.active_jobs.size()));
+  // Affinity efficiency: how much of the machine time jobs consumed went to
+  // rebuilding cache context, and how often tasks landed on their context.
   metrics_->FindOrCreateGauge("engine.affinity.reload_transient_fraction")
-      ->Set(busy > 0.0 ? reload / busy : 0.0);
-  metrics_->FindOrCreateGauge("engine.affinity.affine_fraction")
-      ->Set(dispatches > 0 ? static_cast<double>(affine) / static_cast<double>(dispatches)
-                           : 0.0);
+      ->Set(total.ReloadTransientFraction());
+  metrics_->FindOrCreateGauge("engine.affinity.affine_fraction")->Set(total.AffinityFraction());
 }
 
 void Accounting::SetSpanCollector(JobSpanCollector* spans) {
@@ -103,8 +149,35 @@ void Accounting::SetSpanCollector(JobSpanCollector* spans) {
   spans_ = spans;
 }
 
+void Accounting::Note(TraceEventKind kind, size_t proc, JobId job, CacheOwner worker,
+                      bool affine) {
+  if (Counter* counter = events_[static_cast<size_t>(kind)]; counter != nullptr) {
+    counter->Add();
+  }
+  if (core_.trace != nullptr) {
+    core_.trace->Record(TraceEvent{.when = core_.queue.now(),
+                                   .kind = kind,
+                                   .proc = proc,
+                                   .job = job,
+                                   .worker = worker,
+                                   .affine = affine});
+  }
+}
+
+void Accounting::NoteDecision(DecisionSite site, const PolicyDecision& decision) {
+  if (Counter* counter = decisions_[static_cast<size_t>(site)]; counter != nullptr) {
+    counter->Add();
+  }
+  if (assignments_ != nullptr && !decision.assignments.empty()) {
+    assignments_->Add(static_cast<double>(decision.assignments.size()));
+  }
+  if (repartitions_ != nullptr && decision.targets.has_value()) {
+    repartitions_->Add();
+  }
+}
+
 void Accounting::NoteJobArrival(JobId id) {
-  Bump(m.job_arrivals);
+  Note(TraceEventKind::kJobArrival, SIZE_MAX, id);
   if (spans_ != nullptr) {
     const JobState& js = core_.job_state(id);
     spans_->OnArrival(id, core_.queue.now(), js.job->stats().queue_wait_s);
@@ -112,7 +185,7 @@ void Accounting::NoteJobArrival(JobId id) {
 }
 
 void Accounting::NoteJobCompletion(JobId id) {
-  Bump(m.job_completions);
+  Note(TraceEventKind::kJobCompletion, SIZE_MAX, id);
   JobState& js = core_.job_state(id);
   const RtParams& rt = js.profile->rt;
   if (rt.Active()) {
@@ -125,8 +198,7 @@ void Accounting::NoteJobCompletion(JobId id) {
     if (now > deadline) {
       st.deadline_misses = 1;
       st.tardiness_s = ToSeconds(now - deadline);
-      Bump(m.deadline_misses);
-      Bump(m.tardiness_ns, static_cast<double>(now - deadline));
+      Note(TraceEventKind::kDeadlineMiss, SIZE_MAX, id);
     }
   }
   if (spans_ != nullptr) {
@@ -143,15 +215,12 @@ void Accounting::ChargeChunk(JobState& js, SimDuration work_done, SimDuration re
   // Worst single-chunk reload transient: the latency spike partitioning
   // exists to bound.
   st.worst_reload_s = std::max(st.worst_reload_s, ToSeconds(reload_stall));
-  Bump(m.chunks);
-  Bump(m.reload_stall_ns, static_cast<double>(reload_stall));
-  Bump(m.steady_stall_ns, static_cast<double>(steady_stall));
-  Bump(js.metric_reload_stall_ns, static_cast<double>(reload_stall));
-  if (m.chunk_wall_us != nullptr) {
-    m.chunk_wall_us->Observe(ToMicroseconds(core_.machine.config().ComputeTime(work_done) +
-                                            reload_stall + steady_stall));
+  if (chunks_ != nullptr) {
+    chunks_->Add();
+    chunk_wall_us_->Observe(ToMicroseconds(core_.machine.config().ComputeTime(work_done) +
+                                           reload_stall + steady_stall));
     if (reload_stall > 0) {
-      m.reload_stall_us->Observe(ToMicroseconds(reload_stall));
+      reload_stall_us_->Observe(ToMicroseconds(reload_stall));
     }
   }
 }
@@ -164,19 +233,14 @@ void Accounting::ChargeReloadTiers(JobState& js, SimDuration reload_llc,
   JobStats& st = js.job->stats();
   st.reload_llc_s += ToSeconds(reload_llc);
   st.reload_remote_s += ToSeconds(reload_remote);
-  Bump(m.reload_llc_ns, static_cast<double>(reload_llc));
-  Bump(m.reload_remote_ns, static_cast<double>(reload_remote));
 }
 
 void Accounting::ChargeSwitch(JobState& js) {
   js.job->stats().switch_s += ToSeconds(core_.machine.config().SwitchCost());
-  Bump(m.switches);
-  Bump(m.switch_time_ns, static_cast<double>(core_.machine.config().SwitchCost()));
 }
 
 void Accounting::ChargeWaste(JobState& js, SimDuration held) {
   js.job->stats().waste_s += ToSeconds(held);
-  Bump(m.waste_ns, static_cast<double>(held));
 }
 
 void Accounting::RecordDispatch(JobState& js, size_t proc, bool affine, size_t tier) {
@@ -187,7 +251,6 @@ void Accounting::RecordDispatch(JobState& js, size_t proc, bool affine, size_t t
   st.reallocations++;
   if (affine) {
     st.affinity_dispatches++;
-    Bump(m.dispatches_affine);
   }
   if (tier != kNoMigrationTier) {
     AFF_CHECK(tier < kNumDistanceTiers);
@@ -205,10 +268,7 @@ void Accounting::RecordDispatch(JobState& js, size_t proc, bool affine, size_t t
         st.migrations_cross_node++;
         break;
     }
-    Bump(m.migrations[tier]);
   }
-  Bump(m.dispatches);
-  Bump(js.metric_reallocations);
 }
 
 void Accounting::RecordSteal(JobState& js, size_t tier) {
@@ -225,12 +285,10 @@ void Accounting::RecordSteal(JobState& js, size_t tier) {
       st.steals_cross_node++;
       break;
   }
-  Bump(m.steals[tier]);
 }
 
 void Accounting::RecordBalanceMigration(JobState& js) {
   js.job->stats().balance_migrations++;
-  Bump(m.balance_migrations);
 }
 
 void Accounting::UpdateAllocIntegral(JobId id) {

@@ -3,10 +3,12 @@
 //
 // Every term of the paper's response-time model — useful work, waste,
 // #reallocations, %affinity, switch time, reload/steady stalls, the
-// allocation integral — is charged through this class, so Engine, measure/
-// and the telemetry exporters all read numbers with a single producer.
-// It also owns the usage-credit priority state updates and the metric
-// registry wiring (per-run and per-job counter handles).
+// allocation integral — is charged through this class into JobStats, so
+// Engine, measure/ and the telemetry exporters all read numbers with a
+// single producer. The metrics registry gets those terms from JobStats once,
+// at the end of the run; only counts JobStats does not hold (scheduling
+// events, chunks, policy decisions) are streamed, each from one place. It
+// also owns the usage-credit priority state updates.
 
 #ifndef SRC_ENGINE_ACCOUNTING_H_
 #define SRC_ENGINE_ACCOUNTING_H_
@@ -21,68 +23,20 @@ namespace affsched {
 // Tier value for a dispatch with no previous placement (nothing migrated).
 inline constexpr size_t kNoMigrationTier = static_cast<size_t>(-1);
 
-// Global metric handles, resolved once by SetMetrics. All nullptr while
-// metrics are detached, making every Bump() a single-branch no-op.
-struct MetricHandles {
-  Counter* job_arrivals = nullptr;
-  Counter* job_completions = nullptr;
-  Counter* dispatches = nullptr;
-  Counter* dispatches_affine = nullptr;
-  Counter* resumes = nullptr;
-  Counter* preempts = nullptr;
-  Counter* switches = nullptr;
-  Counter* switch_time_ns = nullptr;
-  Counter* holds = nullptr;
-  Counter* yields = nullptr;
-  Counter* releases = nullptr;
-  Counter* thread_completions = nullptr;
-  Counter* chunks = nullptr;
-  Counter* reload_stall_ns = nullptr;
-  Counter* steady_stall_ns = nullptr;
-  Counter* reload_llc_ns = nullptr;
-  Counter* reload_remote_ns = nullptr;
-  Counter* waste_ns = nullptr;
-  // Reallocations by migration distance (engine.migrations.<tier-name>).
-  Counter* migrations[kNumDistanceTiers] = {nullptr, nullptr, nullptr, nullptr};
-  // Multi-queue steals by the distance tier crossed
-  // (engine.steals.<tier-name>; tier 0 never fires — a same-processor pull is
-  // a local-queue dispatch, not a steal) and balance-tick migrations.
-  Counter* steals[kNumDistanceTiers] = {nullptr, nullptr, nullptr, nullptr};
-  Counter* balance_migrations = nullptr;
-  // Real-time terms: completions past their relative deadline, and the summed
-  // lateness of those completions.
-  Counter* deadline_misses = nullptr;
-  Counter* tardiness_ns = nullptr;
-  Gauge* active_jobs = nullptr;
-  FixedHistogram* reload_stall_us = nullptr;
-  FixedHistogram* chunk_wall_us = nullptr;
-};
-
-inline void Bump(Counter* counter, double delta = 1.0) {
-  if (counter != nullptr) {
-    counter->Add(delta);
-  }
-}
-
 class Accounting {
  public:
   explicit Accounting(EngineCore& core) : core_(core) {}
 
   // --- Registry wiring -------------------------------------------------------
 
-  // Attaches a metrics registry (nullptr detaches) and resolves the global
-  // handles. Must not be called mid-run.
+  // Attaches a metrics registry (nullptr detaches) and registers the counts
+  // streamed during the run. Must not be called mid-run.
   void SetMetrics(MetricsRegistry* registry);
   MetricsRegistry* metrics() const { return metrics_; }
-  // Creates the per-job counters (Run() start, when all jobs are known).
-  void ResolveJobMetrics();
-  // Creates the per-job counters for one job admitted mid-run (open-system
-  // submission happens after Run() has resolved the initial set).
-  void ResolveJobMetricsFor(JobId id);
-  // End-of-run totals that are cheaper to read once than to stream: bus
-  // transfer and peak-utilisation counters, plus the derived affinity-
-  // efficiency gauges (reload-transient fraction of runtime, affine dispatch
-  // fraction).
+  // End of Run(): writes every total JobStats holds (dispatches, stalls,
+  // waste, switch time, migrations, steals, deadline terms, the per-job
+  // counters and the affinity-efficiency gauges), plus the bus totals and
+  // the active-jobs gauge. Durations are whole nanoseconds.
   void FinalizeMetrics();
 
   // Attaches a lifecycle span collector (nullptr detaches). Arrival,
@@ -91,12 +45,22 @@ class Accounting {
   void SetSpanCollector(JobSpanCollector* spans);
   JobSpanCollector* spans() const { return spans_; }
 
-  // --- Lifecycle notifications -----------------------------------------------
+  // --- Scheduling events -----------------------------------------------------
 
-  // Job entered service (engine OnJobArrival): bumps the arrival counter and
-  // opens the lifecycle span.
+  // One scheduling event: records it on the trace sink and bumps its
+  // engine.* event counter. Dispatches and deadline misses have no counter
+  // here; their totals come from JobStats.
+  void Note(TraceEventKind kind, size_t proc, JobId job, CacheOwner worker = kNoOwner,
+            bool affine = false);
+  // One policy decision about to be realised: bumps the policy.* counter of
+  // its site and counts its assignments and repartitions.
+  void NoteDecision(DecisionSite site, const PolicyDecision& decision);
+
+  // Job entered service (engine OnJobArrival): notes the arrival and opens
+  // the lifecycle span.
   void NoteJobArrival(JobId id);
-  // Job left the system: bumps the completion counter, closes the span.
+  // Job left the system: notes the completion, charges a missed deadline
+  // (noting that too), and closes the span.
   void NoteJobCompletion(JobId id);
 
   // --- Response-time-model charges -------------------------------------------
@@ -130,14 +94,19 @@ class Accounting {
   void RecordParallelism(JobId id);
   void SetRunningWorkers(JobId id, int delta);
 
-  // Handles for the event-count bumps that live with protocol/dispatch flow
-  // (holds, yields, releases, preempts, resumes, arrivals, completions...).
-  MetricHandles m;
-
  private:
   EngineCore& core_;
   MetricsRegistry* metrics_ = nullptr;
   JobSpanCollector* spans_ = nullptr;
+  // Streamed counts, nullptr while detached (and for the event kinds and
+  // decision sites that have no counter).
+  Counter* events_[kNumTraceEventKinds] = {};
+  Counter* decisions_[kNumDecisionSites] = {};
+  Counter* assignments_ = nullptr;
+  Counter* repartitions_ = nullptr;
+  Counter* chunks_ = nullptr;
+  FixedHistogram* reload_stall_us_ = nullptr;
+  FixedHistogram* chunk_wall_us_ = nullptr;
 };
 
 }  // namespace affsched

@@ -9,6 +9,7 @@
 namespace affsched {
 
 void AllocatorProtocol::ApplyDecision(const PolicyDecision& decision, DecisionSite site) {
+  acct_.NoteDecision(site, decision);
   if (decision.targets.has_value()) {
     Reconcile(*decision.targets);
   }
@@ -205,8 +206,7 @@ void AllocatorProtocol::ReleaseFromHolder(size_t proc) {
   }
   Worker& w = core_.worker(ps.holding);
   dispatcher_->ParkWorker(js, w);
-  core_.Emit(TraceEventKind::kRelease, proc, ps.holder, w.id);
-  Bump(acct_.m.releases);
+  acct_.Note(TraceEventKind::kRelease, proc, ps.holder, w.id);
   acct_.ChangeAllocation(ps.holder, -1);
   ps.holder = kInvalidJobId;
   ps.holding = kNoOwner;
@@ -227,7 +227,7 @@ void AllocatorProtocol::StartSwitch(size_t proc, JobId to_job, CacheOwner prefer
   js.switching_in++;
   acct_.ChangeAllocation(to_job, +1);
   acct_.ChargeSwitch(js);
-  core_.Emit(TraceEventKind::kSwitchStart, proc, to_job);
+  acct_.Note(TraceEventKind::kSwitchStart, proc, to_job);
   core_.queue.ScheduleAfter(core_.machine.config().SwitchCost(),
                             [this, proc] { OnSwitchDone(proc); });
 }
@@ -280,8 +280,7 @@ void AllocatorProtocol::EnterHolding(size_t proc, CacheOwner worker_id) {
   ps.hold_start = core_.queue.now();
   w.state = Worker::State::kHolding;
   w.current.reset();
-  core_.Emit(TraceEventKind::kHold, proc, ps.holder, worker_id);
-  Bump(acct_.m.holds);
+  acct_.Note(TraceEventKind::kHold, proc, ps.holder, worker_id);
   const SimDuration delay = core_.policy->YieldDelay();
   if (delay <= 0) {
     OnYieldTimer(proc);
@@ -297,8 +296,7 @@ void AllocatorProtocol::OnYieldTimer(size_t proc) {
     return;
   }
   ps.willing = true;
-  core_.Emit(TraceEventKind::kYield, proc, ps.holder, ps.holding);
-  Bump(acct_.m.yields);
+  acct_.Note(TraceEventKind::kYield, proc, ps.holder, ps.holding);
   ApplyDecision(core_.policy->OnProcessorAvailable(*core_.view, proc),
                 DecisionSite::kProcessorAvailable);
 }
@@ -324,17 +322,10 @@ void AllocatorProtocol::HandleJobCompletion(JobId id, size_t completing_proc) {
   acct_.RecordParallelism(id);
   js.job->stats().completion = core_.queue.now();
   js.active = false;
-  core_.Emit(TraceEventKind::kJobCompletion, SIZE_MAX, id);
   auto it = std::find(core_.active_jobs.begin(), core_.active_jobs.end(), id);
   AFF_CHECK(it != core_.active_jobs.end());
   core_.active_jobs.erase(it);
   acct_.NoteJobCompletion(id);
-  if (js.job->stats().deadline_misses > 0) {
-    core_.Emit(TraceEventKind::kDeadlineMiss, SIZE_MAX, id);
-  }
-  if (acct_.m.active_jobs != nullptr) {
-    acct_.m.active_jobs->Set(static_cast<double>(core_.active_jobs.size()));
-  }
   AFF_CHECK(core_.jobs_remaining > 0);
   --core_.jobs_remaining;
 
@@ -403,8 +394,7 @@ void AllocatorProtocol::NotifyNewWork(JobId id) {
     w.state = Worker::State::kRunning;
     w.current = js.job->PopReadyThread();
     acct_.SetRunningWorkers(id, +1);
-    core_.Emit(TraceEventKind::kResume, p, id, w.id);
-    Bump(acct_.m.resumes);
+    acct_.Note(TraceEventKind::kResume, p, id, w.id);
     dispatcher_->StartChunk(p);
   }
   RequestLoop(id);
@@ -414,11 +404,9 @@ void AllocatorProtocol::RequestLoop(JobId id) {
   JobState& js = core_.job_state(id);
   while (js.active && core_.PendingDemand(id) > 0) {
     const size_t before = core_.PendingDemand(id);
-    const PolicyDecision decision = core_.policy->OnRequest(*core_.view, id);
-    if (decision.assignments.empty() && !decision.targets.has_value()) {
-      break;
-    }
-    ApplyDecision(decision, DecisionSite::kRequest);
+    // An empty decision is applied too, so every request is counted; it
+    // makes no progress and ends the loop.
+    ApplyDecision(core_.policy->OnRequest(*core_.view, id), DecisionSite::kRequest);
     if (core_.PendingDemand(id) >= before) {
       break;  // no progress; avoid spinning
     }

@@ -28,7 +28,8 @@ class AllocatorProtocol {
   void Connect(Dispatcher* dispatcher) { dispatcher_ = dispatcher; }
 
   // Realises a policy decision: reconcile targets, then explicit assignments.
-  // `site` labels the decision point in provenance records; it changes no
+  // `site` labels the decision point in provenance records and picks the
+  // policy.* counter the decision is counted under; it changes no
   // scheduling behaviour.
   void ApplyDecision(const PolicyDecision& decision,
                      DecisionSite site = DecisionSite::kUnknown);

@@ -75,7 +75,7 @@ void Dispatcher::DispatchWorker(size_t proc) {
                           ? kNoMigrationTier
                           : core_.machine.topology().TierBetween(prev, proc);
   acct_.RecordDispatch(js, proc, affine, tier);
-  core_.Emit(TraceEventKind::kDispatch, proc, id, wid, affine);
+  acct_.Note(TraceEventKind::kDispatch, proc, id, wid, affine);
   core_.machine.processor(proc).RecordDispatch(wid);
   w.processor = proc;
   w.RecordPlacement(proc);
@@ -172,8 +172,7 @@ void Dispatcher::OnChunkDone(size_t proc, SimDuration work_done, SimDuration rel
   if (thread_finished) {
     const size_t node = w.current->node;
     w.current.reset();
-    core_.Emit(TraceEventKind::kThreadComplete, proc, id, w.id);
-    Bump(acct_.m.thread_completions);
+    acct_.Note(TraceEventKind::kThreadComplete, proc, id, w.id);
     newly_ready = js.job->CompleteThread(node);
     // The worker's next thread reuses only part of its cache footprint.
     core_.machine.processor(proc).cache().ReplaceOwnerData(w.id, js.profile->thread_overlap);
@@ -184,8 +183,7 @@ void Dispatcher::OnChunkDone(size_t proc, SimDuration work_done, SimDuration rel
     if (!thread_finished) {
       js.job->PushPreemptedThread(*w.current);
     }
-    core_.Emit(TraceEventKind::kPreempt, proc, id, w.id);
-    Bump(acct_.m.preempts);
+    acct_.Note(TraceEventKind::kPreempt, proc, id, w.id);
     acct_.SetRunningWorkers(id, -1);
     ParkWorker(js, w);
     ps.running = kNoOwner;

@@ -29,9 +29,7 @@ JobId Engine::AdmitJob(const AppProfile& profile, SimTime queued_since, uint64_t
   AFF_CHECK_MSG(core_.running, "AdmitJob is for mid-run (open-system) submission");
   const SimTime now = core_.queue.now();
   AFF_CHECK(queued_since >= 0 && queued_since <= now);
-  const JobId id = SubmitJobInternal(profile, now, queued_since, Rng(graph_seed));
-  acct_.ResolveJobMetricsFor(id);
-  return id;
+  return SubmitJobInternal(profile, now, queued_since, Rng(graph_seed));
 }
 
 JobId Engine::SubmitJobInternal(const AppProfile& profile, SimTime arrival, SimTime queued_since,
@@ -59,7 +57,6 @@ void Engine::SetCompletionHook(std::function<void(JobId)> hook) {
 SimTime Engine::Run() {
   AFF_CHECK(!core_.running);
   core_.running = true;
-  acct_.ResolveJobMetrics();
   if (sampler_ != nullptr) {
     StartSampling();
   }
@@ -86,11 +83,7 @@ void Engine::OnJobArrival(JobId id) {
   js.alloc_update = core_.queue.now();
   js.par_update = core_.queue.now();
   core_.active_jobs.push_back(id);
-  core_.Emit(TraceEventKind::kJobArrival, SIZE_MAX, id);
   acct_.NoteJobArrival(id);
-  if (acct_.m.active_jobs != nullptr) {
-    acct_.m.active_jobs->Set(static_cast<double>(core_.active_jobs.size()));
-  }
   PolicyDecision decision = core_.policy->OnJobArrival(*this, id);
   // Color reservation is consulted once, after the arrival decision (so the
   // policy has already folded the job into its plan) and before any worker

@@ -90,11 +90,13 @@ class Engine : public SchedView {
   // the engine. Call before Run().
   void SetSpanCollector(JobSpanCollector* spans) { acct_.SetSpanCollector(spans); }
 
-  // Attaches a metrics registry (nullptr detaches). The engine registers its
-  // counters/gauges/histograms under "engine.*" and "bus.*" and updates them
-  // as the run proceeds; per-job counters are created when Run() starts.
-  // When detached (the default) every instrumentation site costs one null
-  // check. The registry must outlive the engine. Call before Run().
+  // Attaches a metrics registry (nullptr detaches). The engine writes its
+  // counters/gauges/histograms under "engine.*", "policy.*" and "bus.*".
+  // Totals JobStats holds (stalls, waste, dispatches, migrations, per-job
+  // counters...) are written once, when Run() returns; event, chunk and
+  // policy-decision counts stream as the run proceeds. When detached (the
+  // default) every instrumentation site costs one null check. The registry
+  // must outlive the engine. Call before Run().
   void SetMetrics(MetricsRegistry* registry) { acct_.SetMetrics(registry); }
 
   // Attaches a time-series sampler (nullptr detaches). Run() installs the

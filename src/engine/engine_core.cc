@@ -8,6 +8,13 @@
 
 namespace affsched {
 
+namespace {
+
+// Decay constant of the usage-credit priority scheme, in seconds.
+constexpr double kCreditDecaySeconds = 8.0;
+
+}  // namespace
+
 EngineCore::EngineCore(const MachineConfig& machine_config, std::unique_ptr<Policy> policy_in,
                        uint64_t seed, const EngineOptions& options_in)
     : options(options_in), machine(machine_config), policy(std::move(policy_in)), rng(seed) {
@@ -91,24 +98,11 @@ double EngineCore::FairShare() const {
 double EngineCore::Priority(JobId id) const {
   const JobState& js = job_state(id);
   const double dt = ToSeconds(queue.now() - js.credit_update);
-  const double decayed = js.credit * std::exp(-dt / options.credit_decay_s);
+  const double decayed = js.credit * std::exp(-dt / kCreditDecaySeconds);
   // Credit accrues while the job holds fewer processors than its fair share
   // and is spent while it holds more.
   const double accrual = (FairShare() - static_cast<double>(js.allocation)) * dt;
   return decayed + accrual;
-}
-
-void EngineCore::Emit(TraceEventKind kind, size_t proc, JobId id, CacheOwner worker_id,
-                      bool affine) {
-  if (trace == nullptr) {
-    return;
-  }
-  trace->Record(TraceEvent{.when = queue.now(),
-                           .kind = kind,
-                           .proc = proc,
-                           .job = id,
-                           .worker = worker_id,
-                           .affine = affine});
 }
 
 }  // namespace affsched

@@ -26,7 +26,6 @@
 #include "src/sched/policy.h"
 #include "src/sim/event_queue.h"
 #include "src/stats/histogram.h"
-#include "src/telemetry/metrics.h"
 #include "src/trace/decision_trace.h"
 #include "src/trace/trace.h"
 #include "src/workload/app_profile.h"
@@ -38,8 +37,6 @@ namespace affsched {
 struct EngineOptions {
   // Maximum useful work per execution chunk; bounds dispatch latency.
   SimDuration chunk_quantum = Milliseconds(2);
-  // Decay constant of the usage-credit priority scheme.
-  double credit_decay_s = 8.0;
   // Record per-job parallelism histograms (Figures 2-4).
   bool record_parallelism = false;
   // Depth of each task's processor history (P of Section 5.3; the paper
@@ -97,9 +94,6 @@ struct JobState {
   SimTime alloc_update = 0;
   std::unique_ptr<WeightedHistogram> par_hist;
   SimTime par_update = 0;
-  // Per-job metric handles (nullptr while metrics are detached).
-  Counter* metric_reallocations = nullptr;
-  Counter* metric_reload_stall_ns = nullptr;
   // Cache-color reservation (partitioned cache model only): the mask the
   // policy answered at arrival, applied to every worker this job creates.
   // All-ones — every color — for jobs under non-partitioning policies.
@@ -127,9 +121,6 @@ struct EngineCore {
   double FairShare() const;
   // Usage-credit priority (decayed credit plus accrual against fair share).
   double Priority(JobId id) const;
-
-  void Emit(TraceEventKind kind, size_t proc, JobId job, CacheOwner worker_id = kNoOwner,
-            bool affine = false);
 
   // --- State -----------------------------------------------------------------
 

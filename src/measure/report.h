@@ -24,20 +24,6 @@ std::string ComparePolicies(const MachineConfig& machine,
                             const std::vector<PolicyKind>& policies,
                             const std::vector<AppProfile>& jobs, uint64_t seed);
 
-// Result of cross-checking a finished engine's metrics registry against its
-// JobStats aggregates (simctl --metrics, telemetry tests).
-struct MetricsReconciliation {
-  bool ok = true;
-  std::string report;  // one line per check, human-readable
-};
-
-// Verifies that the "engine.*" counter totals reconcile with the per-job
-// accounting: dispatch/affinity counts match exactly; switch time matches
-// the switch counter at nanosecond granularity; reload-stall and waste
-// seconds agree to floating-point accumulation error.
-MetricsReconciliation ReconcileEngineMetrics(const Engine& engine,
-                                             const MetricsRegistry& registry);
-
 }  // namespace affsched
 
 #endif  // SRC_MEASURE_REPORT_H_

@@ -64,16 +64,6 @@ void OpenSystemDriver::SetSampler(Sampler* sampler) {
   engine_->SetSampler(sampler);
 }
 
-void OpenSystemDriver::SetMetrics(MetricsRegistry* registry) { engine_->SetMetrics(registry); }
-
-void OpenSystemDriver::SetTraceSink(TraceSink* sink) { engine_->SetTraceSink(sink); }
-
-void OpenSystemDriver::SetDecisionSink(DecisionSink* sink) { engine_->SetDecisionSink(sink); }
-
-void OpenSystemDriver::SetSpanCollector(JobSpanCollector* spans) {
-  engine_->SetSpanCollector(spans);
-}
-
 uint64_t OpenSystemDriver::GraphSeed(size_t plan_index) const {
   return DeriveSeed(seed_, {kGraphSeedTag, static_cast<uint64_t>(plan_index)});
 }

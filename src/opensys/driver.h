@@ -111,14 +111,9 @@ class OpenSystemDriver {
   OpenSystemDriver(const OpenSystemDriver&) = delete;
   OpenSystemDriver& operator=(const OpenSystemDriver&) = delete;
 
-  // Telemetry attachments, forwarded to the engine; call before Run().
-  // SetSampler additionally registers open-system probes: the admission-queue
-  // length and the in-service job count.
+  // Attaches a sampler to the engine, plus two open-system probes: the
+  // admission-queue length and the in-service job count. Call before Run().
   void SetSampler(Sampler* sampler);
-  void SetMetrics(MetricsRegistry* registry);
-  void SetTraceSink(TraceSink* sink);
-  void SetDecisionSink(DecisionSink* sink);
-  void SetSpanCollector(JobSpanCollector* spans);
 
   // Runs the whole plan to completion. Call at most once.
   OpenSystemResult Run();

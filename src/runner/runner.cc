@@ -154,10 +154,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
       if (options_.on_cell) {
         options_.on_cell(refs[i], round[i], from_cache[i] != 0);
       }
-      if (options_.record_cells) {
-        experiment.cells.push_back(
-            CellResult{cell.replication, refs[i].seed, std::move(round[i])});
-      }
+      experiment.cells.push_back(CellResult{cell.replication, refs[i].seed, std::move(round[i])});
       ++completed_cells;
     }
     for (ExperimentState& experiment : experiments) {

@@ -42,9 +42,6 @@ struct SweepCellRef {
 struct SweepRunnerOptions {
   // Worker threads; 0 means WorkerPool::DefaultThreadCount().
   size_t jobs = 0;
-  // Keep per-cell rows in the result (and its JSON). Aggregates are always
-  // kept.
-  bool record_cells = true;
   // Called on the orchestration thread after each round with (cells
   // completed, cells currently known to be needed). Totals can grow between
   // calls as adaptive replication schedules more work.

@@ -315,41 +315,27 @@ std::string SweepResult::ToJson() const {
     o << ",\"observability\":{\"experiments\":[";
     for (size_t e = 0; e < experiments.size(); ++e) {
       const ExperimentResult& experiment = experiments[e];
-      double useful = 0, reload = 0, steady = 0, switching = 0;
-      uint64_t dispatches = 0, affine = 0;
-      uint64_t mig_core = 0, mig_cluster = 0, mig_node = 0, mig_cross = 0;
+      JobStats total;
       for (const JobStats& stats : experiment.replicated.mean_stats) {
-        useful += stats.useful_work_s;
-        reload += stats.reload_stall_s;
-        steady += stats.steady_stall_s;
-        switching += stats.switch_s;
-        dispatches += stats.reallocations;
-        affine += stats.affinity_dispatches;
-        mig_core += stats.migrations_same_core;
-        mig_cluster += stats.migrations_same_cluster;
-        mig_node += stats.migrations_same_node;
-        mig_cross += stats.migrations_cross_node;
+        total.Accumulate(stats);
       }
-      const double busy = useful + reload + steady + switching;
       o << (e > 0 ? "," : "") << "{\"policy\":\"" << PolicyKindCliName(experiment.policy) << "\""
         << ",\"mix\":" << experiment.mix.number
-        << ",\"reload_transient_fraction\":" << JsonNumber(busy > 0 ? reload / busy : 0.0)
-        << ",\"affine_fraction\":"
-        << JsonNumber(dispatches > 0
-                          ? static_cast<double>(affine) / static_cast<double>(dispatches)
-                          : 0.0)
-        << ",\"migrations\":{\"same_core\":" << mig_core
-        << ",\"same_cluster\":" << mig_cluster << ",\"same_node\":" << mig_node
-        << ",\"cross_node\":" << mig_cross << "}}";
+        << ",\"reload_transient_fraction\":" << JsonNumber(total.ReloadTransientFraction())
+        << ",\"affine_fraction\":" << JsonNumber(total.AffinityFraction())
+        << ",\"migrations\":{\"same_core\":" << total.migrations_same_core
+        << ",\"same_cluster\":" << total.migrations_same_cluster
+        << ",\"same_node\":" << total.migrations_same_node
+        << ",\"cross_node\":" << total.migrations_cross_node << "}}";
     }
     o << "]}";
   }
 
   if (spec.rt) {
-    // Real-time summary per experiment, derived from the recorded cells (or
-    // from the replicated means when cells were not recorded): deadline-miss
-    // rate over all (job, replication) completions, mean and p99 tardiness,
-    // and the worst-case-observed reload across the whole experiment.
+    // Real-time summary per experiment, derived from the recorded cells:
+    // deadline-miss rate over all (job, replication) completions, mean and
+    // p99 tardiness, and the worst-case-observed reload across the whole
+    // experiment.
     o << ",\"rt\":{\"deadline_mix\":\"" << JsonEscape(spec.deadline_mix)
       << "\",\"experiments\":[";
     for (size_t e = 0; e < experiments.size(); ++e) {
@@ -358,21 +344,12 @@ std::string SweepResult::ToJson() const {
       uint64_t completions = 0;
       double worst_reload = 0.0;
       std::vector<double> tardiness;
-      if (!experiment.cells.empty()) {
-        for (const CellResult& cell : experiment.cells) {
-          for (const JobResult& job : cell.run.jobs) {
-            misses += job.stats.deadline_misses;
-            ++completions;
-            tardiness.push_back(job.stats.tardiness_s);
-            worst_reload = std::max(worst_reload, job.stats.worst_reload_s);
-          }
-        }
-      } else {
-        for (const JobStats& stats : experiment.replicated.mean_stats) {
-          misses += stats.deadline_misses;
+      for (const CellResult& cell : experiment.cells) {
+        for (const JobResult& job : cell.run.jobs) {
+          misses += job.stats.deadline_misses;
           ++completions;
-          tardiness.push_back(stats.tardiness_s);
-          worst_reload = std::max(worst_reload, stats.worst_reload_s);
+          tardiness.push_back(job.stats.tardiness_s);
+          worst_reload = std::max(worst_reload, job.stats.worst_reload_s);
         }
       }
       std::sort(tardiness.begin(), tardiness.end());

@@ -6,11 +6,11 @@
 //     that are nullptr when no registry is attached; the per-event cost is
 //     one branch. The engine's hot path must not pay for observability it
 //     is not using (acceptance: < 2% on bench_sim_microbench).
-//   * Exact reconciliation. Counters count the same increments the JobStats
-//     accounting does, so end-of-run totals can be cross-checked against the
-//     paper's response-time terms. Durations accumulate in integer
-//     nanoseconds (exactly representable in a double far beyond any run
-//     length) rather than floating seconds.
+//   * One producer per number. The engine writes every total JobStats
+//     already holds (the paper's response-time terms) from JobStats at the
+//     end of the run, durations rounded to whole nanoseconds (exactly
+//     representable in a double far beyond any run length); only counts
+//     JobStats lacks are streamed as they happen.
 //   * Deterministic output. Rendering iterates names in sorted order, so two
 //     identical runs produce byte-identical metric dumps a CI bench can diff.
 //

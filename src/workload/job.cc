@@ -1,6 +1,58 @@
 #include "src/workload/job.h"
 
+#include <algorithm>
+
 namespace affsched {
+
+void JobStats::Accumulate(const JobStats& x) {
+  useful_work_s += x.useful_work_s;
+  reload_stall_s += x.reload_stall_s;
+  steady_stall_s += x.steady_stall_s;
+  switch_s += x.switch_s;
+  waste_s += x.waste_s;
+  alloc_integral_s += x.alloc_integral_s;
+  reallocations += x.reallocations;
+  affinity_dispatches += x.affinity_dispatches;
+  migrations_same_core += x.migrations_same_core;
+  migrations_same_cluster += x.migrations_same_cluster;
+  migrations_same_node += x.migrations_same_node;
+  migrations_cross_node += x.migrations_cross_node;
+  reload_llc_s += x.reload_llc_s;
+  reload_remote_s += x.reload_remote_s;
+  steals_same_cluster += x.steals_same_cluster;
+  steals_same_node += x.steals_same_node;
+  steals_cross_node += x.steals_cross_node;
+  balance_migrations += x.balance_migrations;
+  deadline_misses += x.deadline_misses;
+  tardiness_s += x.tardiness_s;
+  worst_reload_s = std::max(worst_reload_s, x.worst_reload_s);
+}
+
+void JobStats::DivideBy(double n) {
+  const auto count = [n](uint64_t& c) {
+    c = static_cast<uint64_t>(static_cast<double>(c) / n);
+  };
+  useful_work_s /= n;
+  reload_stall_s /= n;
+  steady_stall_s /= n;
+  switch_s /= n;
+  waste_s /= n;
+  alloc_integral_s /= n;
+  count(reallocations);
+  count(affinity_dispatches);
+  count(migrations_same_core);
+  count(migrations_same_cluster);
+  count(migrations_same_node);
+  count(migrations_cross_node);
+  reload_llc_s /= n;
+  reload_remote_s /= n;
+  count(steals_same_cluster);
+  count(steals_same_node);
+  count(steals_cross_node);
+  count(balance_migrations);
+  count(deadline_misses);
+  tardiness_s /= n;
+}
 
 Job::Job(JobId id, const AppProfile& profile, std::unique_ptr<ThreadGraph> graph, SimTime arrival)
     : id_(id), profile_(profile), graph_(std::move(graph)) {

@@ -121,6 +121,25 @@ struct JobStats {
                : 0.0;
   }
 
+  // Share of the machine time the job consumed (work, stalls, switches) that
+  // went to rebuilding cache context.
+  double ReloadTransientFraction() const {
+    const double busy = useful_work_s + reload_stall_s + steady_stall_s + switch_s;
+    return busy > 0.0 ? reload_stall_s / busy : 0.0;
+  }
+
+  // Adds every additive term of `other` into this one and keeps the larger
+  // worst_reload_s: the totals over jobs, or over replications. arrival,
+  // completion and queue_wait_s are instants of one run and stay untouched.
+  void Accumulate(const JobStats& other);
+
+  // Divides every additive term by `n`, turning an Accumulate() total over n
+  // runs into their mean. Counts truncate through double. worst_reload_s
+  // stays the maximum; arrival, completion and queue_wait_s stay untouched.
+  void DivideBy(double n);
+
+  bool operator==(const JobStats&) const = default;
+
   // Mean time between reallocations as seen by one processor (Table 3's
   // "Realloc. interval"): held processor-seconds divided by #reallocations.
   double ReallocationIntervalSeconds() const {

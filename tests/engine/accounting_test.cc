@@ -35,10 +35,13 @@ TEST(AccountingTest, ChargeChunkAccumulatesWorkAndStallSplit) {
   EXPECT_NEAR(st.useful_work_s, expected_work, 1e-12);
   EXPECT_DOUBLE_EQ(st.reload_stall_s, ToSeconds(Microseconds(100)));
   EXPECT_DOUBLE_EQ(st.steady_stall_s, ToSeconds(Microseconds(50)));
-  EXPECT_DOUBLE_EQ(h.acct.m.chunks->value(), 2.0);
-  EXPECT_DOUBLE_EQ(h.acct.m.reload_stall_ns->value(),
+  // Chunks are counted as they run; the stall totals are JobStats', written
+  // at the end of the run.
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.chunks")->value(), 2.0);
+  h.acct.FinalizeMetrics();
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.reload_stall_ns")->value(),
                    static_cast<double>(Microseconds(100)));
-  EXPECT_DOUBLE_EQ(h.acct.m.steady_stall_ns->value(),
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.steady_stall_ns")->value(),
                    static_cast<double>(Microseconds(50)));
 }
 
@@ -54,7 +57,9 @@ TEST(AccountingTest, ChargeSwitchAddsOneKernelPathLength) {
 
   EXPECT_DOUBLE_EQ(js.job->stats().switch_s,
                    2.0 * ToSeconds(h.core.machine.config().SwitchCost()));
-  EXPECT_DOUBLE_EQ(h.acct.m.switches->value(), 2.0);
+  h.acct.FinalizeMetrics();
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.switch_time_ns")->value(),
+                   2.0 * static_cast<double>(h.core.machine.config().SwitchCost()));
 }
 
 TEST(AccountingTest, ChargeWasteAccumulatesHeldTime) {
@@ -84,8 +89,10 @@ TEST(AccountingTest, RecordDispatchTracksAffinityFraction) {
   EXPECT_EQ(st.reallocations, 4u);
   EXPECT_EQ(st.affinity_dispatches, 2u);
   EXPECT_DOUBLE_EQ(st.AffinityFraction(), 0.5);
-  EXPECT_DOUBLE_EQ(h.acct.m.dispatches->value(), 4.0);
-  EXPECT_DOUBLE_EQ(h.acct.m.dispatches_affine->value(), 2.0);
+  h.acct.FinalizeMetrics();
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.dispatches")->value(), 4.0);
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.dispatches_affine")->value(), 2.0);
+  EXPECT_DOUBLE_EQ(registry.FindGauge("engine.affinity.affine_fraction")->value(), 0.5);
 }
 
 TEST(AccountingTest, ChangeAllocationIntegratesProcessorSeconds) {
@@ -170,15 +177,22 @@ TEST(AccountingTest, SetMetricsNullptrDetachesAllHandles) {
   CoreHarness h;
   MetricsRegistry registry;
   h.acct.SetMetrics(&registry);
-  ASSERT_NE(h.acct.m.dispatches, nullptr);
+  ASSERT_EQ(h.acct.metrics(), &registry);
   h.acct.SetMetrics(nullptr);
-  EXPECT_EQ(h.acct.m.dispatches, nullptr);
-  EXPECT_EQ(h.acct.m.active_jobs, nullptr);
+  EXPECT_EQ(h.acct.metrics(), nullptr);
 
-  // Charges must still be safe with metrics detached.
+  // Charges, notes and the end-of-run totals are safe with metrics detached
+  // and leave the once-attached registry untouched.
   const JobId id = h.AddActiveJob(1, Milliseconds(10));
   h.acct.ChargeChunk(h.core.job_state(id), Milliseconds(1), 0, 0);
   h.acct.RecordDispatch(h.core.job_state(id), /*proc=*/0, true);
+  h.acct.Note(TraceEventKind::kHold, /*proc=*/0, id);
+  h.acct.NoteDecision(DecisionSite::kRequest, PolicyDecision{});
+  h.acct.FinalizeMetrics();
+  EXPECT_EQ(registry.FindCounter("engine.chunks")->value(), 0.0);
+  EXPECT_EQ(registry.FindCounter("engine.holds")->value(), 0.0);
+  EXPECT_EQ(registry.FindCounter("policy.on_request")->value(), 0.0);
+  EXPECT_EQ(registry.FindCounter("engine.dispatches"), nullptr);
 }
 
 }  // namespace

@@ -133,8 +133,8 @@ TEST(AllocatorProtocolTest, HoldingProcessorYieldsThenReleaseAccountsWaste) {
   ProcState& ps = h.core.procs[0];
   ASSERT_NE(ps.holding, kNoOwner);
   EXPECT_TRUE(ps.willing) << "zero yield delay advertises immediately";
-  EXPECT_DOUBLE_EQ(h.acct.m.holds->value(), 1.0);
-  EXPECT_DOUBLE_EQ(h.acct.m.yields->value(), 1.0);
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.holds")->value(), 1.0);
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.yields")->value(), 1.0);
 
   const SimTime hold_start = ps.hold_start;
   h.core.queue.ScheduleAfter(Milliseconds(3), [] {});
@@ -149,7 +149,7 @@ TEST(AllocatorProtocolTest, HoldingProcessorYieldsThenReleaseAccountsWaste) {
   EXPECT_EQ(js.idle_workers.size(), 1u);
   EXPECT_DOUBLE_EQ(js.job->stats().waste_s,
                    ToSeconds(h.core.queue.now() - hold_start));
-  EXPECT_DOUBLE_EQ(h.acct.m.releases->value(), 1.0);
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.releases")->value(), 1.0);
 }
 
 TEST(AllocatorProtocolTest, NotifyNewWorkResumesHoldersWithoutReallocation) {
@@ -178,7 +178,7 @@ TEST(AllocatorProtocolTest, NotifyNewWorkResumesHoldersWithoutReallocation) {
   EXPECT_EQ(h.core.worker(p1.running).job, a);
   EXPECT_EQ(p1.holding, kNoOwner);
   EXPECT_FALSE(p1.willing);
-  EXPECT_DOUBLE_EQ(h.acct.m.resumes->value(), 1.0);
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.resumes")->value(), 1.0);
   EXPECT_EQ(h.core.job_state(a).job->stats().reallocations, reallocs_before)
       << "resuming a held processor is not a reallocation";
   EXPECT_EQ(h.core.procs[0].holder, b);
@@ -262,7 +262,7 @@ TEST(AllocatorProtocolTest, JobCompletionFreesAllItsProcessors) {
   EXPECT_EQ(h.core.procs[1].holder, kInvalidJobId);
   EXPECT_EQ(h.core.jobs_remaining, 0u);
   EXPECT_TRUE(h.core.active_jobs.empty());
-  EXPECT_DOUBLE_EQ(h.acct.m.job_completions->value(), 1.0);
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.job_completions")->value(), 1.0);
 }
 
 TEST(AllocatorProtocolTest, StalePendingTowardCompletedJobIsDropped) {

@@ -130,8 +130,8 @@ TEST(DispatcherTest, ChunkedExecutionSplitsLongThreads) {
     h.core.queue.RunNext();
   }
 
-  EXPECT_DOUBLE_EQ(h.acct.m.chunks->value(), 3.0);
-  EXPECT_DOUBLE_EQ(h.acct.m.thread_completions->value(), 1.0);
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.chunks")->value(), 3.0);
+  EXPECT_DOUBLE_EQ(registry.FindCounter("engine.thread_completions")->value(), 1.0);
   EXPECT_TRUE(h.core.job_state(id).job->Finished());
   // The lone thread's completion finished the job; the processor was freed.
   EXPECT_EQ(ps.holder, kInvalidJobId);

@@ -4,7 +4,7 @@
 // with, runs the full sweep through SweepRunner, and requires ToJson() to
 // match the file byte-identically. Two root seeds per preset guard against a
 // change that happens to preserve one trajectory. Any intentional behaviour
-// change must regenerate the goldens (simctl --sweep <spec> --json <file>)
+// change must regenerate the goldens (simctl --sweep=<spec> --out=<file>)
 // and justify the diff in review.
 
 #include <fstream>

@@ -122,17 +122,6 @@ TEST(SweepRunnerTest, AdaptiveReplicationStaysWithinBounds) {
   }
 }
 
-TEST(SweepRunnerTest, RecordCellsFalseKeepsAggregatesOnly) {
-  SweepRunnerOptions options;
-  options.record_cells = false;
-  const SweepResult result = SweepRunner(options).Run(TinySpec());
-  for (const ExperimentResult& experiment : result.experiments) {
-    EXPECT_TRUE(experiment.cells.empty());
-    EXPECT_EQ(experiment.replicated.replications, 2u);
-  }
-  EXPECT_TRUE(ParsesAsJson(result.ToJson()));
-}
-
 TEST(SweepRunnerTest, ThrowingCellPropagatesAfterCleanShutdown) {
   SweepRunnerOptions options;
   options.jobs = 4;

@@ -38,15 +38,26 @@ the span closes).
 a temp directory with --chrome-trace/--decision-trace/--spans, then
 validates the result with --require-decisions. With --steals it runs the
 mq-numa steal policy on the hierarchical mq-preset machine instead and
-validates with --require-steals. With --rt it runs the rt-static-affinity
-policy on an 8-color machine under the guaranteed-miss "tight" deadline
-mix and validates with --require-rt. This is what the tier-1 ctests use.
+validates with --require-steals. With --rt it runs rt-static-affinity and
+rt-color-iso on an 8-color machine under the guaranteed-miss "tight"
+deadline mix and validates each with --require-rt. This is what the tier-1
+ctests use.
+
+Observers must not move the trajectory: --run-simctl runs every scenario
+twice more, once with no observer flag and once with --metrics, --manifest
+and --samples, and fails unless the job rows and the "makespan:" line are
+the same in all three runs. The default scenario also points each output
+flag (--decision-trace, --spans, --samples, --chrome-trace, --manifest, and
+--manifest under --open) into a missing directory, once per flag, and
+fails unless simctl exits 1.
+
 Exit status: 0 valid, 1 invalid, 2 usage/IO error.
 
 Stdlib only; no third-party dependencies.
 """
 
 import argparse
+import difflib
 import json
 import subprocess
 import sys
@@ -213,43 +224,96 @@ def check_file(path, require_decisions, require_steals=False, require_rt=False):
     return 0
 
 
-def run_simctl(binary, steals=False, rt=False):
-    with tempfile.TemporaryDirectory(prefix="affsched-trace-") as tmp:
-        tmp = Path(tmp)
-        trace = tmp / "trace.json"
-        if steals:
-            # The mq-preset machine: widest steal radius on the hierarchical
-            # topology, so the trace carries tier-1..3 steal decisions.
-            scenario = [
-                "--mix=5", "--policy=mq-numa", "--procs=16", "--seed=42",
-                "--topology=numa-4x8,cores-per-cluster=4,clusters-per-node=2",
-            ]
-        elif rt:
-            # The rt-preset machine under the guaranteed-miss tight mix, so
-            # every deadline-bearing job contributes a miss marker.
-            scenario = [
-                "--mix=5", "--policy=rt-static-affinity", "--procs=16", "--seed=42",
-                "--rt", "--deadline-mix=tight", "--colors=8",
-            ]
-        else:
-            scenario = ["--mix=5", "--policy=dyn-aff", "--procs=16", "--seed=42"]
-        cmd = [
-            binary, *scenario,
-            f"--chrome-trace={trace}",
-            f"--decision-trace={tmp / 'decisions.jsonl'}",
-            f"--spans={tmp / 'spans.jsonl'}",
-        ]
-        print("+", " ".join(cmd))
-        result = subprocess.run(cmd, stdout=subprocess.DEVNULL)
+def report_rows(stdout):
+    """The job rows and the "makespan:" line: simctl's stdout up to it."""
+    lines = stdout.splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("makespan:"):
+            return lines[:i + 1]
+    return None
+
+
+def run(cmd):
+    cmd = [str(c) for c in cmd]
+    print("+", " ".join(cmd), flush=True)
+    return subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+
+
+def check_scenario(binary, scenario, tmp, steals, rt):
+    """Runs `scenario` with the trace sinks, with no observer, and with the
+    metric observers; validates the trace and compares the three reports."""
+    trace = tmp / "trace.json"
+    sinks = [f"--chrome-trace={trace}", f"--decision-trace={tmp / 'decisions.jsonl'}",
+             f"--spans={tmp / 'spans.jsonl'}"]
+    observers = ["--metrics", f"--manifest={tmp / 'manifest.json'}",
+                 f"--samples={tmp / 'samples.csv'}"]
+    reports = []
+    for extra in (sinks, [], observers):
+        result = run([binary, *scenario, *extra])
         if result.returncode != 0:
             print(f"simctl exited {result.returncode}", file=sys.stderr)
             return 2
-        for side in ("decisions.jsonl", "spans.jsonl"):
-            if not (tmp / side).stat().st_size:
-                print(f"{side}: empty sidecar output", file=sys.stderr)
-                return 1
-        return check_file(trace, require_decisions=True, require_steals=steals,
-                          require_rt=rt)
+        reports.append(report_rows(result.stdout))
+    if reports[0] is None:
+        print('simctl printed no "makespan:" line', file=sys.stderr)
+        return 1
+    for label, report in zip(("no observer", "--metrics/--manifest/--samples"), reports[1:]):
+        if report != reports[0]:
+            print(f"observers moved the trajectory: the run with {label} differs "
+                  f"from the run with the trace sinks:", file=sys.stderr)
+            for line in difflib.unified_diff(reports[0], report or [], lineterm=""):
+                print(f"  {line}", file=sys.stderr)
+            return 1
+    for side in ("decisions.jsonl", "spans.jsonl"):
+        if not (tmp / side).stat().st_size:
+            print(f"{side}: empty sidecar output", file=sys.stderr)
+            return 1
+    return check_file(trace, require_decisions=True, require_steals=steals, require_rt=rt)
+
+
+def check_unwritable_outputs(binary, scenario, tmp):
+    """Every output flag pointed into a missing directory must exit 1."""
+    missing = tmp / "missing-dir" / "out"
+    cases = [[*scenario, f"--{flag}={missing}"]
+             for flag in ("decision-trace", "spans", "samples", "chrome-trace", "manifest")]
+    cases.append(["--open", "--preset=opensys-smoke;policies=equi;rhos=0.7;count=12",
+                  "--jobs=1", f"--manifest={missing}"])
+    failures = 0
+    for args in cases:
+        result = run([binary, *args])
+        if result.returncode != 1:
+            print(f"expected exit 1 for an unwritable output, got {result.returncode}",
+                  file=sys.stderr)
+            failures += 1
+    return 1 if failures else 0
+
+
+def run_simctl(binary, steals=False, rt=False):
+    if steals:
+        # The mq-preset machine: widest steal radius on the hierarchical
+        # topology, so the trace carries tier-1..3 steal decisions.
+        scenarios = [[
+            "--mix=5", "--policy=mq-numa", "--procs=16", "--seed=42",
+            "--topology=numa-4x8,cores-per-cluster=4,clusters-per-node=2",
+        ]]
+    elif rt:
+        # The rt-preset machine under the guaranteed-miss tight mix, so
+        # every deadline-bearing job contributes a miss marker. Both static
+        # rt policies: rt-color-iso also answers the color-mask query.
+        scenarios = [[
+            "--mix=5", f"--policy={policy}", "--procs=16", "--seed=42",
+            "--rt", "--deadline-mix=tight", "--colors=8",
+        ] for policy in ("rt-static-affinity", "rt-color-iso")]
+    else:
+        scenarios = [["--mix=5", "--policy=dyn-aff", "--procs=16", "--seed=42"]]
+    for scenario in scenarios:
+        with tempfile.TemporaryDirectory(prefix="affsched-trace-") as tmp:
+            status = check_scenario(binary, scenario, Path(tmp), steals, rt)
+            if status == 0 and not (steals or rt):
+                status = check_unwritable_outputs(binary, scenario, Path(tmp))
+        if status != 0:
+            return status
+    return 0
 
 
 def main():
@@ -271,9 +335,9 @@ def main():
                              "on the hierarchical machine and validate with "
                              "--require-steals")
     parser.add_argument("--rt", action="store_true",
-                        help="with --run-simctl: run rt-static-affinity under "
-                             "the tight deadline mix on an 8-color machine and "
-                             "validate with --require-rt")
+                        help="with --run-simctl: run rt-static-affinity and "
+                             "rt-color-iso under the tight deadline mix on an "
+                             "8-color machine and validate with --require-rt")
     args = parser.parse_args()
 
     if args.run_simctl:
