@@ -73,6 +73,14 @@ TEST(GoldenTrajectoryTest, Fig5Seed7777) {
   RunGoldenCase("fig5;mixes=2,5;reps=1;seed=7777", "sweep_fig5_seed7777.json");
 }
 
+// A quarter-size cache: owners crowd each cache until the occupancy
+// squeeze (the `occupied_ > capacity_` branch of FootprintCache::RunChunk)
+// fires, which no other closed golden reaches. The squeeze reads the sum of
+// the other owners' footprints, so this pins the order that sum is taken in.
+TEST(GoldenTrajectoryTest, SmokeCacheQuarter) {
+  RunGoldenCase("smoke;reps=1;cache=0.25", "sweep_smoke_cache0p25.json");
+}
+
 // The topology subsystem is a strict superset: selecting the symmetry-flat
 // topology explicitly must reproduce the flat-machine trajectory byte for
 // byte against the pre-topology golden.
