@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself:
-// event-queue throughput, cache-model chunk cost, and end-to-end simulated
-// seconds per wall second. These guard the regeneration benches' runtimes.
+// event-queue throughput, cache-model chunk cost, end-to-end simulated
+// seconds per wall second, and host time per event as the machine grows.
+// These guard the regeneration benches' runtimes.
 //
 // Exits through a custom main that writes run_manifest.json (build/git
 // metadata) into the working directory, so CI can trace any reported number
@@ -8,12 +9,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 
 #include "src/apps/apps.h"
 #include "src/cache/exact_cache.h"
 #include "src/cache/footprint.h"
 #include "src/engine/engine.h"
+#include "src/measure/mixes.h"
 #include "src/sched/factory.h"
 #include "src/sim/event_queue.h"
 #include "src/telemetry/manifest.h"
@@ -74,6 +77,39 @@ void BM_EndToEndSmallMix(benchmark::State& state) {
   state.counters["sim_s_per_iter"] = simulated_seconds / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_EndToEndSmallMix);
+
+// Host nanoseconds per simulated event for workload mix 6 under Dyn-Aff on
+// P processors (the run `simctl --mix=6 --policy=dyn-aff --procs=P
+// --engine-stats` times). The run is about 620k events at every P, almost
+// all of them 2 ms chunks, so the curve shows how a chunk's cost grows with
+// the processor count. One iteration per P: a run takes 0.2-6 s.
+void BM_ChunkCostVsProcs(benchmark::State& state) {
+  MachineConfig machine;
+  machine.num_processors = static_cast<size_t>(state.range(0));
+  const std::vector<AppProfile> jobs = PaperMixes()[5].Expand(DefaultProfiles());
+  double run_ns = 0.0;
+  uint64_t events = 0;
+  for (auto _ : state) {
+    Engine engine(machine, MakePolicy(PolicyKind::kDynAff), /*seed=*/42);
+    for (const AppProfile& job : jobs) {
+      engine.SubmitJob(job);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(engine.Run());
+    run_ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
+                  .count();
+    events += engine.event_queue_stats().run;
+  }
+  state.counters["events"] = static_cast<double>(events);
+  state.counters["ns_per_event"] = events > 0 ? run_ns / static_cast<double>(events) : 0.0;
+}
+BENCHMARK(BM_ChunkCostVsProcs)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace affsched

@@ -8,7 +8,8 @@
 //
 //   * FootprintCache (footprint.h) — the analytic working-set model the
 //     paper-scale experiments run on (closed-form buildup/ejection, O(#owners)
-//     per chunk);
+//     per chunk, where #owners counts the owners resident in this one cache:
+//     two or three on the paper's grids);
 //   * ExactCacheModel (exact_model.h) — the exact per-line set-associative
 //     simulation driven by synthetic reference streams, used to validate the
 //     analytic model end-to-end on the same machine plumbing.
@@ -64,6 +65,29 @@ struct CacheChunkResult {
 // is sets x E[min(K, ways)]. Shared by both cache models.
 double ExpectedMaxResident(double capacity_blocks, size_t ways, double blocks);
 
+// ExpectedMaxResident behind a one-entry memo. A cache runs the same working
+// set for many consecutive chunks, so the chunk path pays for the Poisson sum
+// (an exp() and a loop over the ways) only when the inputs change. The value
+// is the function's own, so the memo cannot move a trajectory.
+class MaxResidentMemo {
+ public:
+  double Get(double capacity_blocks, size_t ways, double blocks) {
+    if (blocks != blocks_ || capacity_blocks != capacity_ || ways != ways_) {
+      capacity_ = capacity_blocks;
+      ways_ = ways;
+      blocks_ = blocks;
+      value_ = ExpectedMaxResident(capacity_blocks, ways, blocks);
+    }
+    return value_;
+  }
+
+ private:
+  double capacity_ = -1.0;  // no cache has negative capacity: the first Get computes
+  size_t ways_ = 0;
+  double blocks_ = 0.0;
+  double value_ = 0.0;
+};
+
 class CacheModel {
  public:
   virtual ~CacheModel() = default;
@@ -91,8 +115,10 @@ class CacheModel {
   virtual void EjectFraction(CacheOwner owner, double fraction) = 0;
 
   // Removes up to `blocks` of `owner`'s footprint (coherence invalidations
-  // arriving from another processor's cache).
-  virtual void EjectBlocks(CacheOwner owner, double blocks) = 0;
+  // arriving from another processor's cache) and returns the amount removed,
+  // min(blocks, Resident(owner)): one call per invalidated sibling, with no
+  // Resident query before it.
+  virtual double EjectBlocks(CacheOwner owner, double blocks) = 0;
 
   // Models thread turnover within a worker: the next thread reuses only
   // `keep_fraction` of the worker's current data; the rest is dead and its

@@ -129,11 +129,13 @@ void ExactCacheModel::EjectFraction(CacheOwner owner, double fraction) {
   InvalidateSome(owner, static_cast<size_t>(std::llround(resident * fraction)));
 }
 
-void ExactCacheModel::EjectBlocks(CacheOwner owner, double blocks) {
+double ExactCacheModel::EjectBlocks(CacheOwner owner, double blocks) {
   AFF_CHECK(blocks >= 0.0);
-  const double resident = Resident(owner);
-  InvalidateSome(owner,
-                 static_cast<size_t>(std::llround(std::min(blocks, resident))));
+  // The lines invalidated are the nearest whole number; the amount reported
+  // is the fractional one the bus charges, as on the analytic substrates.
+  const double removed = std::min(blocks, Resident(owner));
+  InvalidateSome(owner, static_cast<size_t>(std::llround(removed)));
+  return removed;
 }
 
 void ExactCacheModel::ReplaceOwnerData(CacheOwner owner, double keep_fraction) {

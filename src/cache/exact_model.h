@@ -43,7 +43,7 @@ class ExactCacheModel final : public CacheModel {
   double MaxResident(double blocks) const override;
   void Flush() override;
   void EjectFraction(CacheOwner owner, double fraction) override;
-  void EjectBlocks(CacheOwner owner, double blocks) override;
+  double EjectBlocks(CacheOwner owner, double blocks) override;
   void ReplaceOwnerData(CacheOwner owner, double keep_fraction) override;
   void RemoveOwner(CacheOwner owner) override;
 

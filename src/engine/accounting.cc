@@ -322,16 +322,27 @@ void Accounting::RecordParallelism(JobId id) {
   }
   const double dt = ToSeconds(core_.queue.now() - js.par_update);
   if (dt > 0.0) {
-    js.par_hist->Add(js.running_workers, dt);
+    js.par_hist->Add(js.running.size(), dt);
   }
   js.par_update = core_.queue.now();
 }
 
-void Accounting::SetRunningWorkers(JobId id, int delta) {
+void Accounting::SetRunning(size_t proc, CacheOwner worker) {
+  ProcState& ps = core_.procs[proc];
+  AFF_CHECK((worker == kNoOwner) != (ps.running == kNoOwner));
+  const JobId id = core_.worker(worker != kNoOwner ? worker : ps.running).job;
   JobState& js = core_.job_state(id);
   RecordParallelism(id);
-  AFF_CHECK(delta >= 0 || js.running_workers >= static_cast<size_t>(-delta));
-  js.running_workers = static_cast<size_t>(static_cast<long>(js.running_workers) + delta);
+  const auto it = std::lower_bound(
+      js.running.begin(), js.running.end(), proc,
+      [](const Machine::SiblingPlacement& placed, size_t p) { return placed.proc < p; });
+  if (worker != kNoOwner) {
+    js.running.insert(it, Machine::SiblingPlacement{proc, worker});
+  } else {
+    AFF_CHECK(it != js.running.end() && it->proc == proc);
+    js.running.erase(it);
+  }
+  ps.running = worker;
 }
 
 }  // namespace affsched

@@ -92,7 +92,11 @@ class Accounting {
   void UpdateCredit(JobId id);
   void ChangeAllocation(JobId id, int delta);
   void RecordParallelism(JobId id);
-  void SetRunningWorkers(JobId id, int delta);
+  // The one writer of ProcState::running: `worker` starts running chunks on
+  // `proc`, or (kNoOwner) the worker running there stops. Closes the
+  // parallelism histogram's interval at the old count, then updates the
+  // processor and the job's processor-ordered running list together.
+  void SetRunning(size_t proc, CacheOwner worker);
 
  private:
   EngineCore& core_;

@@ -274,8 +274,8 @@ void AllocatorProtocol::EnterHolding(size_t proc, CacheOwner worker_id) {
   ProcState& ps = core_.procs[proc];
   Worker& w = core_.worker(worker_id);
   AFF_CHECK(w.processor == proc);
+  AFF_CHECK(ps.running == kNoOwner);
   ps.holding = worker_id;
-  ps.running = kNoOwner;
   ps.willing = false;
   ps.hold_start = core_.queue.now();
   w.state = Worker::State::kHolding;
@@ -390,10 +390,9 @@ void AllocatorProtocol::NotifyNewWork(JobId id) {
     ps.willing = false;
     Worker& w = core_.worker(ps.holding);
     ps.holding = kNoOwner;
-    ps.running = w.id;
     w.state = Worker::State::kRunning;
     w.current = js.job->PopReadyThread();
-    acct_.SetRunningWorkers(id, +1);
+    acct_.SetRunning(p, w.id);
     acct_.Note(TraceEventKind::kResume, p, id, w.id);
     dispatcher_->StartChunk(p);
   }

@@ -91,8 +91,7 @@ void Dispatcher::DispatchWorker(size_t proc) {
   if (js.job->HasReadyThread()) {
     w.current = js.job->PopReadyThread();
     w.state = Worker::State::kRunning;
-    ps.running = wid;
-    acct_.SetRunningWorkers(id, +1);
+    acct_.SetRunning(proc, wid);
     StartChunk(proc);
     // The job may still have unmet demand beyond this processor.
     alloc_->RequestLoop(id);
@@ -110,21 +109,22 @@ void Dispatcher::StartChunk(size_t proc) {
   const SimDuration work = std::min(core_.options.chunk_quantum, w.current->remaining);
   AFF_CHECK(work > 0);
 
-  // Sibling workers of the same job on other processors, for coherence
-  // invalidations (collected only when the application shares writable data).
-  std::vector<Machine::SiblingPlacement> siblings;
-  const std::vector<Machine::SiblingPlacement>* siblings_ptr = nullptr;
-  if (js.profile->working_set.shared_write_per_s > 0.0) {
-    for (size_t p = 0; p < core_.procs.size(); ++p) {
-      if (p != proc && core_.procs[p].holder == w.job && core_.procs[p].running != kNoOwner) {
-        siblings.push_back(Machine::SiblingPlacement{p, core_.procs[p].running});
-      }
+#ifndef NDEBUG
+  // The running list stands in for a scan of every processor; debug builds
+  // still run the scan and require the same placements in the same order.
+  std::vector<Machine::SiblingPlacement> scanned;
+  for (size_t p = 0; p < core_.procs.size(); ++p) {
+    if (core_.procs[p].holder == w.job && core_.procs[p].running != kNoOwner) {
+      scanned.push_back(Machine::SiblingPlacement{p, core_.procs[p].running});
     }
-    siblings_ptr = &siblings;
   }
+  AFF_CHECK(scanned == js.running);
+#endif
 
+  // The job's running list doubles as the sibling list for coherence
+  // invalidations (ExecuteChunk skips this processor's own entry).
   const Machine::ChunkExecution exec = core_.machine.ExecuteChunk(
-      core_.queue.now(), proc, w.id, js.profile->working_set, work, siblings_ptr);
+      core_.queue.now(), proc, w.id, js.profile->working_set, work, js.running);
   SimDuration reload_stall = 0;
   SimDuration steady_stall = 0;
   if (exec.tiered) {
@@ -184,9 +184,8 @@ void Dispatcher::OnChunkDone(size_t proc, SimDuration work_done, SimDuration rel
       js.job->PushPreemptedThread(*w.current);
     }
     acct_.Note(TraceEventKind::kPreempt, proc, id, w.id);
-    acct_.SetRunningWorkers(id, -1);
+    acct_.SetRunning(proc, kNoOwner);
     ParkWorker(js, w);
-    ps.running = kNoOwner;
     const JobId to = ps.pending_job;
     const CacheOwner prefer = ps.pending_prefer;
     alloc_->ClearPending(proc);
@@ -210,9 +209,8 @@ void Dispatcher::OnChunkDone(size_t proc, SimDuration work_done, SimDuration rel
   }
 
   if (js.job->Finished()) {
-    acct_.SetRunningWorkers(id, -1);
+    acct_.SetRunning(proc, kNoOwner);
     ParkWorker(js, w);
-    ps.running = kNoOwner;
     acct_.ChangeAllocation(id, -1);
     ps.holder = kInvalidJobId;
     ps.willing = false;
@@ -233,8 +231,7 @@ void Dispatcher::OnChunkDone(size_t proc, SimDuration work_done, SimDuration rel
 
   // No work anywhere in the job for this worker: hold the processor and
   // (after the policy's yield delay) advertise it.
-  acct_.SetRunningWorkers(id, -1);
-  ps.running = kNoOwner;
+  acct_.SetRunning(proc, kNoOwner);
   alloc_->EnterHolding(proc, w.id);
 }
 

@@ -52,7 +52,8 @@ struct EngineOptions {
 
 struct ProcState {
   JobId holder = kInvalidJobId;
-  // Worker executing a chunk here (kNoOwner if none).
+  // Worker executing a chunk here (kNoOwner if none). Written only by
+  // Accounting::SetRunning, which keeps JobState::running in step.
   CacheOwner running = kNoOwner;
   // Worker placed here but currently without a thread.
   CacheOwner holding = kNoOwner;
@@ -87,7 +88,12 @@ struct JobState {
   size_t switching_in = 0;
   // Idle workers, most recently idled first.
   std::vector<CacheOwner> idle_workers;
-  size_t running_workers = 0;
+  // The job's workers that are running chunks, as {proc, worker} in
+  // processor order: {p, procs[p].running} for every p the job holds with a
+  // running worker. A chunk's coherence invalidations walk this list, so
+  // they cost O(running siblings), not O(processors). Its size is the job's
+  // parallelism.
+  std::vector<Machine::SiblingPlacement> running;
   // Usage-credit priority state.
   double credit = 0.0;
   SimTime credit_update = 0;

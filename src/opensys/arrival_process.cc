@@ -8,8 +8,8 @@ namespace affsched {
 
 namespace {
 
-// Picks an application index by weight; `pick` in [0, total).
-size_t PickApp(const std::vector<double>& weights, double total, double pick) {
+// Picks an application index by weight; `pick` in [0, sum of weights).
+size_t PickApp(const std::vector<double>& weights, double pick) {
   size_t app = 0;
   for (size_t a = 0; a < weights.size(); ++a) {
     pick -= weights[a];
@@ -52,7 +52,7 @@ void PoissonProcess::Reset(uint64_t seed) {
 bool PoissonProcess::Next(ArrivalPlanEntry* out) {
   now_ += Seconds(rng_.NextExponential(ToSeconds(mean_interarrival_)));
   out->when = now_;
-  out->app_index = PickApp(app_weights_, total_weight_, rng_.NextDouble() * total_weight_);
+  out->app_index = PickApp(app_weights_, rng_.NextDouble() * total_weight_);
   return true;
 }
 
@@ -88,7 +88,7 @@ bool OnOffProcess::Next(ArrivalPlanEntry* out) {
     if (now_ + gap <= phase_end_) {
       now_ += gap;
       out->when = now_;
-      out->app_index = PickApp(app_weights_, total_weight_, rng_.NextDouble() * total_weight_);
+      out->app_index = PickApp(app_weights_, rng_.NextDouble() * total_weight_);
       return true;
     }
     // The draw crossed the burst boundary: the exponential is memoryless, so

@@ -25,15 +25,21 @@ FootprintCache* TopologyCacheState::llc(size_t cluster) {
 }
 
 size_t TopologyCacheState::LastNode(CacheOwner owner) const {
-  auto it = last_node_.find(owner);
-  return it == last_node_.end() ? kNoNode : it->second;
+  return owner < last_node_.size() ? last_node_[owner] : kNoNode;
 }
 
 void TopologyCacheState::SetLastNode(CacheOwner owner, size_t node) {
+  if (owner >= last_node_.size()) {
+    last_node_.resize(owner + 1, kNoNode);
+  }
   last_node_[owner] = node;
 }
 
-void TopologyCacheState::Forget(CacheOwner owner) { last_node_.erase(owner); }
+void TopologyCacheState::Forget(CacheOwner owner) {
+  if (owner < last_node_.size()) {
+    last_node_[owner] = kNoNode;
+  }
+}
 
 HierarchicalCacheModel::HierarchicalCacheModel(double l1_capacity_blocks, size_t l1_ways,
                                                const Topology& topology,
@@ -77,12 +83,14 @@ void HierarchicalCacheModel::EjectFraction(CacheOwner owner, double fraction) {
   }
 }
 
-void HierarchicalCacheModel::EjectBlocks(CacheOwner owner, double blocks) {
-  l1_.EjectBlocks(owner, blocks);
+double HierarchicalCacheModel::EjectBlocks(CacheOwner owner, double blocks) {
+  const double removed = l1_.EjectBlocks(owner, blocks);
   if (FootprintCache* llc = state_->llc(cluster_)) {
-    // An invalidation removes the line machine-wide, including the LLC copy.
-    llc->EjectBlocks(owner, blocks);
+    // An invalidation removes the line machine-wide, including the LLC copy:
+    // the lines the private cache held, so the LLC loses the same amount.
+    llc->EjectBlocks(owner, removed);
   }
+  return removed;
 }
 
 void HierarchicalCacheModel::ReplaceOwnerData(CacheOwner owner, double keep_fraction) {

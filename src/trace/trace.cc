@@ -166,7 +166,7 @@ std::string RingTrace::RenderGantt(size_t num_procs, SimTime start, SimTime end,
   out << "Gantt (" << FormatDuration(start) << " .. " << FormatDuration(end)
       << "; digits = running job, letters = holding idle, '*' = switching, '.' = free)\n";
   for (size_t p = 0; p < num_procs; ++p) {
-    char label[16];
+    char label[24];  // "p", up to 20 digits of size_t, " ", NUL
     std::snprintf(label, sizeof(label), "p%02zu ", p);
     out << label << grid[p] << "\n";
   }

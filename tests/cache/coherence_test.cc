@@ -39,7 +39,7 @@ TEST(MachineCoherenceTest, SharedWritesErodeSiblingFootprints) {
 
   // Worker 1 runs on processor 0 writing shared data; worker 2 is a sibling.
   std::vector<Machine::SiblingPlacement> siblings = {{1, 2}};
-  machine.ExecuteChunk(Milliseconds(100), 0, 1, ws, Milliseconds(100), &siblings);
+  machine.ExecuteChunk(Milliseconds(100), 0, 1, ws, Milliseconds(100), siblings);
 
   // 10k writes/s x 0.1 s = 1000 invalidations.
   EXPECT_NEAR(machine.processor(1).cache().Resident(2), before - 1000.0, 1.0);
@@ -54,7 +54,7 @@ TEST(MachineCoherenceTest, NoSharingMeansNoErosion) {
   machine.ExecuteChunk(0, 1, 2, ws, Milliseconds(100));
   const double before = machine.processor(1).cache().Resident(2);
   std::vector<Machine::SiblingPlacement> siblings = {{1, 2}};
-  machine.ExecuteChunk(Milliseconds(100), 0, 1, ws, Milliseconds(100), &siblings);
+  machine.ExecuteChunk(Milliseconds(100), 0, 1, ws, Milliseconds(100), siblings);
   EXPECT_DOUBLE_EQ(machine.processor(1).cache().Resident(2), before);
 }
 
@@ -67,7 +67,7 @@ TEST(MachineCoherenceTest, SelfIsNotASibling) {
   machine.ExecuteChunk(0, 0, 1, ws, Milliseconds(100));
   const double warm = machine.processor(0).cache().Resident(1);
   std::vector<Machine::SiblingPlacement> siblings = {{0, 1}};
-  machine.ExecuteChunk(Milliseconds(100), 0, 1, ws, Milliseconds(100), &siblings);
+  machine.ExecuteChunk(Milliseconds(100), 0, 1, ws, Milliseconds(100), siblings);
   // Running again on the same processor must not invalidate itself.
   EXPECT_GE(machine.processor(0).cache().Resident(1), warm - 1.0);
 }

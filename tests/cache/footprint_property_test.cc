@@ -100,9 +100,9 @@ INSTANTIATE_TEST_SUITE_P(
                       FootprintCase{5600.0, 0.125, 20000.0}, // GRAVITY calibration
                       FootprintCase{10000.0, 0.2, 50000.0}   // far beyond capacity
                       ),
-    [](const ::testing::TestParamInfo<FootprintCase>& info) {
-      return "W" + std::to_string(static_cast<int>(info.param.blocks)) + "_t" +
-             std::to_string(static_cast<int>(info.param.tau_s * 1000));
+    [](const ::testing::TestParamInfo<FootprintCase>& param_info) {
+      return "W" + std::to_string(static_cast<int>(param_info.param.blocks)) + "_t" +
+             std::to_string(static_cast<int>(param_info.param.tau_s * 1000));
     });
 
 }  // namespace

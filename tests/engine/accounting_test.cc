@@ -1,6 +1,7 @@
 #include "src/engine/accounting.h"
 
 #include <memory>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/time.h"
@@ -159,18 +160,58 @@ TEST(AccountingTest, RunningWorkerTransitionsFeedParallelismHistogram) {
   const JobId id = h.AddActiveJob(2, Milliseconds(10));
   JobState& js = h.core.job_state(id);
   js.par_hist = std::make_unique<WeightedHistogram>(h.core.procs.size());
+  const CacheOwner w1 = h.core.CreateWorker(id);
+  const CacheOwner w2 = h.core.CreateWorker(id);
 
-  h.acct.SetRunningWorkers(id, +1);
+  h.acct.SetRunning(1, w1);
   AdvanceTo(h, Milliseconds(1000));
-  h.acct.SetRunningWorkers(id, +1);
+  h.acct.SetRunning(0, w2);
   AdvanceTo(h, Milliseconds(1500));
-  h.acct.SetRunningWorkers(id, -2);
+  h.acct.SetRunning(1, kNoOwner);
+  h.acct.SetRunning(0, kNoOwner);
 
   // 1 worker for 1 s, 2 workers for 0.5 s.
   EXPECT_NEAR(js.par_hist->TotalWeight(), 1.5, 1e-9);
   EXPECT_NEAR(js.par_hist->Fraction(1), 1.0 / 1.5, 1e-9);
   EXPECT_NEAR(js.par_hist->Fraction(2), 0.5 / 1.5, 1e-9);
-  EXPECT_EQ(js.running_workers, 0u);
+  EXPECT_TRUE(js.running.empty());
+  EXPECT_EQ(h.core.procs[0].running, kNoOwner);
+  EXPECT_EQ(h.core.procs[1].running, kNoOwner);
+}
+
+// Workers start and stop out of processor order; the job's running list
+// stays sorted by processor and names exactly the processors' running
+// workers, which is what a scan of every processor used to collect.
+TEST(AccountingTest, RunningListStaysInProcessorOrder) {
+  CoreHarness h(/*procs=*/6);
+  const JobId a = h.AddActiveJob(4, Milliseconds(10));
+  const JobId b = h.AddActiveJob(2, Milliseconds(10));
+  const CacheOwner a1 = h.core.CreateWorker(a);
+  const CacheOwner a2 = h.core.CreateWorker(a);
+  const CacheOwner a3 = h.core.CreateWorker(a);
+  const CacheOwner a4 = h.core.CreateWorker(a);
+  const CacheOwner b1 = h.core.CreateWorker(b);
+  using P = Machine::SiblingPlacement;
+  const std::vector<P>& running = h.core.job_state(a).running;
+
+  h.acct.SetRunning(4, a1);
+  h.acct.SetRunning(1, a2);
+  h.acct.SetRunning(3, b1);
+  h.acct.SetRunning(5, a3);
+  h.acct.SetRunning(0, a4);
+  EXPECT_EQ(running, (std::vector<P>{{0, a4}, {1, a2}, {4, a1}, {5, a3}}));
+  EXPECT_EQ(h.core.job_state(b).running, (std::vector<P>{{3, b1}}));
+
+  h.acct.SetRunning(4, kNoOwner);
+  h.acct.SetRunning(0, kNoOwner);
+  EXPECT_EQ(running, (std::vector<P>{{1, a2}, {5, a3}}));
+  EXPECT_EQ(h.core.procs[4].running, kNoOwner);
+  EXPECT_EQ(h.core.procs[5].running, a3);
+
+  // A worker that stopped may start again elsewhere, between two others.
+  h.acct.SetRunning(2, a1);
+  EXPECT_EQ(running, (std::vector<P>{{1, a2}, {2, a1}, {5, a3}}));
+  EXPECT_EQ(h.core.job_state(b).running, (std::vector<P>{{3, b1}}));
 }
 
 TEST(AccountingTest, SetMetricsNullptrDetachesAllHandles) {

@@ -1,6 +1,7 @@
 #include "src/engine/dispatcher.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/common/time.h"
@@ -109,7 +110,8 @@ TEST(DispatcherTest, DispatchWorkerRunsReadyThreadAndRecordsPlacement) {
   EXPECT_EQ(w.state, Worker::State::kRunning);
   EXPECT_EQ(w.processor, 0u);
   EXPECT_EQ(w.last_processor(), 0u);
-  EXPECT_EQ(h.core.job_state(id).running_workers, 1u);
+  EXPECT_EQ(h.core.job_state(id).running,
+            (std::vector<Machine::SiblingPlacement>{{0, ps.running}}));
   EXPECT_EQ(h.core.job_state(id).job->stats().reallocations, 1u);
   // The chunk-completion event is in flight.
   EXPECT_FALSE(h.core.queue.empty());

@@ -65,8 +65,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PolicyKind::kEquipartition, PolicyKind::kDynamic, PolicyKind::kDynAff,
                       PolicyKind::kDynAffNoPri, PolicyKind::kDynAffDelay, PolicyKind::kTimeShare,
                       PolicyKind::kTimeShareAff),
-    [](const ::testing::TestParamInfo<PolicyKind>& info) {
-      std::string name = PolicyKindName(info.param);
+    [](const ::testing::TestParamInfo<PolicyKind>& param_info) {
+      std::string name = PolicyKindName(param_info.param);
       for (char& c : name) {
         if (c == '-') {
           c = '_';

@@ -79,7 +79,9 @@ TEST(SweepServiceTest, ServedDocumentMatchesBatchRunnerByteForByte) {
   std::string error;
   ASSERT_TRUE(service.Submit(TinySpec(), {}, &outcome, &error)) << error;
 
-  const SweepResult batch = SweepRunner(SweepRunnerOptions{.jobs = 4}).Run(TinySpec());
+  SweepRunnerOptions batch_options;
+  batch_options.jobs = 4;
+  const SweepResult batch = SweepRunner(batch_options).Run(TinySpec());
   EXPECT_EQ(outcome.json, batch.ToJson() + "\n");
 }
 

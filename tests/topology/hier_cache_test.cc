@@ -109,8 +109,19 @@ TEST(HierarchicalCacheTest, EjectBlocksErodesLlcCopy) {
   Harness h(CmpTopology(), 20);
   h.models[0].RunChunk(1, TestWs(), 10.0);
   const double before = h.state.llc(0)->Resident(1);
-  h.models[0].EjectBlocks(1, 100.0);
-  EXPECT_LT(h.state.llc(0)->Resident(1), before);
+  const double removed = h.models[0].EjectBlocks(1, 100.0);
+  EXPECT_DOUBLE_EQ(removed, 100.0);
+  // An invalidated line leaves the LLC too: exactly the amount returned.
+  EXPECT_DOUBLE_EQ(h.state.llc(0)->Resident(1), before - removed);
+
+  // Asked for more than the private cache holds, the LLC still loses only
+  // what the private cache lost, although it holds more.
+  const double l1 = h.models[0].Resident(1);
+  const double llc = h.state.llc(0)->Resident(1);
+  ASSERT_GT(llc, l1);
+  EXPECT_DOUBLE_EQ(h.models[0].EjectBlocks(1, 1e9), l1);
+  EXPECT_DOUBLE_EQ(h.models[0].Resident(1), 0.0);
+  EXPECT_DOUBLE_EQ(h.state.llc(0)->Resident(1), llc - l1);
 }
 
 TEST(HierarchicalCacheTest, FlushOnlyClearsThePrivateCache) {
