@@ -1,22 +1,34 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself:
 // event-queue throughput, cache-model chunk cost, end-to-end simulated
-// seconds per wall second, and host time per event as the machine grows.
-// These guard the regeneration benches' runtimes.
+// seconds per wall second, host time per event as the machine grows, and
+// whole sweep grids in simulated jobs per wall second. These guard the
+// regeneration sweeps' runtimes.
+//
+// The sweep table's entries feed the jobs/s floors in bench/baseline.json:
+// `tools/bench_compare.py --microbench --floors-key KEY` gates
+// microbench_opensys (BM_Open*), microbench_topology (BM_TopologySweep*),
+// microbench_multiqueue (BM_MultiQueue*) and microbench_rt (BM_Rt*).
 //
 // Exits through a custom main that writes run_manifest.json (build/git
-// metadata) into the working directory, so CI can trace any reported number
-// back to its build.
+// metadata and the open cells' Little's-law verdict) into the working
+// directory, so CI can trace any reported number back to its build. An open
+// cell that fails Little's law makes the run exit 1.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "src/apps/apps.h"
 #include "src/cache/exact_cache.h"
 #include "src/cache/footprint.h"
 #include "src/engine/engine.h"
 #include "src/measure/mixes.h"
+#include "src/opensys/open_sweep.h"
+#include "src/runner/runner.h"
+#include "src/runner/sweep.h"
 #include "src/sched/factory.h"
 #include "src/sim/event_queue.h"
 #include "src/telemetry/manifest.h"
@@ -111,10 +123,109 @@ BENCHMARK(BM_ChunkCostVsProcs)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
+// --- Sweep throughput ---------------------------------------------------------
+//
+// Each entry runs one grid single-threaded (the benchmark measures the
+// simulation, not the worker pool) and counts simulated jobs as items.
+
+struct SweepBench {
+  const char* name;
+  const char* spec;
+  bool open;  // an open-system grid (simctl --open) rather than a closed sweep
+};
+
+constexpr SweepBench kSweepBenches[] = {
+    // Open cells: arrival generation, admission, the engine run and
+    // percentile accounting. Moderate-load Poisson; the same load through
+    // bursty on/off arrivals (deeper transient queues); near saturation
+    // under an MPL cap (queue-then-admit on nearly every arrival); and the
+    // whole smoke grid.
+    {"BM_OpenLoadPoissonRho800",
+     "opensys-smoke;policies=dyn-aff;arrivals=poisson;rhos=0.8;count=60", true},
+    {"BM_OpenLoadOnOffRho800",
+     "opensys-smoke;policies=dyn-aff;arrivals=onoff;rhos=0.8;count=60", true},
+    {"BM_OpenLoadMplCapRho950",
+     "opensys-smoke;policies=dyn-aff;arrivals=poisson;rhos=0.95;count=60;mpl-cap=6", true},
+    {"BM_OpenSmokeSweep", "opensys-smoke", true},
+    // The hierarchical cache: the flat baseline, two clusters sharing LLCs,
+    // and four NUMA nodes with the last-node directory and remote fills.
+    {"BM_TopologySweepFlat", "smoke;reps=1;mixes=5;policies=dyn-aff", false},
+    {"BM_TopologySweepCmp", "smoke;reps=1;mixes=5;policies=dyn-aff;topology=cmp-2x10", false},
+    {"BM_TopologySweepNuma", "smoke;reps=1;mixes=5;policies=dyn-aff;topology=numa-4x8", false},
+    // Multi-queue dispatch on the mq machine, per steal radius: nosteal
+    // prices per-queue dispatch, numa the widest victim scan.
+    {"BM_MultiQueueNoSteal", "mq;reps=1;mixes=5;steal=nosteal", false},
+    {"BM_MultiQueueStealCluster", "mq;reps=1;mixes=5;steal=cluster", false},
+    {"BM_MultiQueueStealNuma", "mq;reps=1;mixes=5;steal=numa", false},
+    // The 8-color partitioned machine: dyn-aff pays the substrate alone, the
+    // static planners add ComputeStaticAssignment on every arrival and
+    // departure, and color-iso the per-slice interference bookkeeping.
+    {"BM_RtDynAff", "rt;reps=1;mixes=5;policies=dyn-aff", false},
+    {"BM_RtStaticAffinity", "rt;reps=1;mixes=5;policies=rt-static-affinity", false},
+    {"BM_RtColorIso", "rt;reps=1;mixes=5;policies=rt-color-iso", false},
+};
+
+// Cleared by any measured open cell that fails the built-in Little's-law
+// check; main() records it in run_manifest.json.
+bool g_littles_ok = true;
+
+[[noreturn]] void DieOnBadSpec(const char* spec, const std::string& error) {
+  std::fprintf(stderr, "bench_sim_microbench: bad spec %s: %s\n", spec, error.c_str());
+  std::abort();
+}
+
+void BM_ClosedSweep(benchmark::State& state, const char* text) {
+  SweepSpec spec;
+  std::string error;
+  if (!ParseSweepSpec(text, &spec, &error)) {
+    DieOnBadSpec(text, error);
+  }
+  SweepRunnerOptions options;
+  options.jobs = 1;
+  size_t jobs = 0;
+  for (auto _ : state) {
+    const SweepResult result = SweepRunner(options).Run(spec);
+    for (const ExperimentResult& experiment : result.experiments) {
+      for (const CellResult& cell : experiment.cells) {
+        jobs += cell.run.jobs.size();
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(jobs));
+}
+
+void BM_OpenSweep(benchmark::State& state, const char* text) {
+  OpenSweepSpec spec;
+  std::string error;
+  if (!ParseOpenSweepSpec(text, &spec, &error)) {
+    DieOnBadSpec(text, error);
+  }
+  OpenSweepRunnerOptions options;
+  options.jobs = 1;
+  size_t completed = 0;
+  for (auto _ : state) {
+    const OpenSweepResult result = OpenSweepRunner(options).Run(spec);
+    g_littles_ok = g_littles_ok && result.AllLittlesLawOk();
+    for (const OpenCellResult& cell : result.cells) {
+      completed += cell.result.completed;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(completed));
+}
+
+void RegisterSweepBenches() {
+  for (const SweepBench& bench : kSweepBenches) {
+    benchmark::RegisterBenchmark(bench.name, bench.open ? BM_OpenSweep : BM_ClosedSweep,
+                                 bench.spec)
+        ->UseRealTime();
+  }
+}
+
 }  // namespace
 }  // namespace affsched
 
 int main(int argc, char** argv) {
+  affsched::RegisterSweepBenches();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
@@ -124,7 +235,9 @@ int main(int argc, char** argv) {
 
   affsched::RunManifest manifest;
   manifest.SetString("tool", "bench_sim_microbench");
+  manifest.SetBool("littles_law_ok", affsched::g_littles_ok);
   manifest.WriteFile("run_manifest.json");
-  std::printf("wrote run_manifest.json (git %s)\n", affsched::RunManifest::GitSha());
-  return 0;
+  std::printf("wrote run_manifest.json (git %s, littles_law_ok=%s)\n",
+              affsched::RunManifest::GitSha(), affsched::g_littles_ok ? "true" : "false");
+  return affsched::g_littles_ok ? 0 : 1;
 }

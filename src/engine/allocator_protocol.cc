@@ -32,21 +32,14 @@ void AllocatorProtocol::RecordDecision(DecisionSite site, const Assignment& a) {
   rec.prefer_task = a.prefer_task;
 
   // Reference task for the affinity breakdown: the explicit preference, else
-  // the worker the dispatcher is most likely to pick — the job's first idle
-  // worker with a placement history (mirrors Engine::DesiredProcessor).
+  // the job's reference task (EngineCore::ReferenceTask).
   CacheOwner task = a.prefer_task;
   if (task == kNoOwner && a.job < core_.jobs.size()) {
-    for (CacheOwner wid : core_.job_state(a.job).idle_workers) {
-      if (core_.worker(wid).last_processor() != kNoProcessor) {
-        task = wid;
-        break;
-      }
-    }
+    task = core_.ReferenceTask(a.job);
   }
   const size_t last = task != kNoOwner && core_.HasWorker(task)
                           ? core_.worker(task).last_processor()
                           : kNoProcessor;
-  const double miss_service_s = core_.machine.config().MissServiceSeconds();
   const double ws_blocks =
       a.job < core_.jobs.size() ? core_.job_state(a.job).profile->working_set.blocks : 0.0;
 
@@ -57,14 +50,10 @@ void AllocatorProtocol::RecordDecision(DecisionSite site, const Assignment& a) {
     if (last != kNoProcessor) {
       cand.tier = core_.machine.topology().TierBetween(last, p);
     }
-    const CacheModel& cache = core_.machine.processor(p).cache();
     if (task != kNoOwner) {
-      cand.footprint_blocks = cache.Resident(task);
+      cand.footprint_blocks = core_.machine.processor(p).cache().Resident(task);
     }
-    const double target = cache.MaxResident(ws_blocks);
-    cand.reload_cost_s = target > cand.footprint_blocks
-                             ? (target - cand.footprint_blocks) * miss_service_s
-                             : 0.0;
+    cand.reload_cost_s = core_.ReloadSeconds(p, cand.footprint_blocks, ws_blocks);
     const ProcState& ps = core_.procs[p];
     cand.available = ps.holder == kInvalidJobId || (ps.willing && !ps.pending_valid);
     cand.chosen = p == a.proc;

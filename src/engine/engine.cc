@@ -219,11 +219,11 @@ bool Engine::ReassignmentPending(size_t proc) const {
 }
 
 CacheOwner Engine::LastTaskOn(size_t proc) const {
-  return const_cast<EngineCore&>(core_).machine.processor(proc).last_task();
+  return core_.machine.processor(proc).last_task();
 }
 
 std::vector<CacheOwner> Engine::RecentTasksOn(size_t proc) const {
-  const auto& history = const_cast<EngineCore&>(core_).machine.processor(proc).recent_tasks();
+  const std::span<const CacheOwner> history = core_.machine.processor(proc).recent_tasks();
   return std::vector<CacheOwner>(history.begin(), history.end());
 }
 
@@ -243,14 +243,8 @@ JobId Engine::TaskJob(CacheOwner task) const {
 }
 
 size_t Engine::DesiredProcessor(JobId id) const {
-  const JobState& js = core_.job_state(id);
-  for (CacheOwner wid : js.idle_workers) {
-    const Worker& w = core_.worker(wid);
-    if (w.last_processor() != kNoProcessor) {
-      return w.last_processor();
-    }
-  }
-  return kNoProcessor;
+  const CacheOwner task = core_.ReferenceTask(id);
+  return task != kNoOwner ? core_.worker(task).last_processor() : kNoProcessor;
 }
 
 double Engine::Priority(JobId id) const { return core_.Priority(id); }
@@ -261,24 +255,12 @@ size_t Engine::DistanceTier(size_t from, size_t to) const {
 
 double Engine::ReloadCostSeconds(JobId id, size_t proc) const {
   AFF_CHECK(proc < core_.procs.size());
-  const JobState& js = core_.job_state(id);
-  // Reference task: the job's first idle worker with a placement history —
-  // the worker the dispatcher is most likely to pick, and the same reference
-  // the decision trace scores candidates with (AllocatorProtocol::
-  // RecordDecision). A job with no history pays the full working-set reload
-  // on any processor.
-  CacheOwner task = kNoOwner;
-  for (CacheOwner wid : js.idle_workers) {
-    if (core_.worker(wid).last_processor() != kNoProcessor) {
-      task = wid;
-      break;
-    }
-  }
-  const CacheModel& cache = const_cast<EngineCore&>(core_).machine.processor(proc).cache();
-  const double resident = task != kNoOwner ? cache.Resident(task) : 0.0;
-  const double target = cache.MaxResident(js.profile->working_set.blocks);
-  return target > resident ? (target - resident) * core_.machine.config().MissServiceSeconds()
-                           : 0.0;
+  // A job with no placement history pays the full working-set reload on any
+  // processor.
+  const CacheOwner task = core_.ReferenceTask(id);
+  const double resident =
+      task != kNoOwner ? core_.machine.processor(proc).cache().Resident(task) : 0.0;
+  return core_.ReloadSeconds(proc, resident, core_.job_state(id).profile->working_set.blocks);
 }
 
 double Engine::WorkingSetBlocks(JobId id) const {

@@ -105,4 +105,18 @@ double EngineCore::Priority(JobId id) const {
   return decayed + accrual;
 }
 
+CacheOwner EngineCore::ReferenceTask(JobId id) const {
+  for (CacheOwner wid : job_state(id).idle_workers) {
+    if (worker(wid).last_processor() != kNoProcessor) {
+      return wid;
+    }
+  }
+  return kNoOwner;
+}
+
+double EngineCore::ReloadSeconds(size_t proc, double resident, double ws_blocks) const {
+  const double target = machine.processor(proc).cache().MaxResident(ws_blocks);
+  return target > resident ? (target - resident) * machine.config().MissServiceSeconds() : 0.0;
+}
+
 }  // namespace affsched

@@ -127,6 +127,15 @@ struct EngineCore {
   double FairShare() const;
   // Usage-credit priority (decayed credit plus accrual against fair share).
   double Priority(JobId id) const;
+  // The job's first idle worker with a placement history (kNoOwner if none):
+  // the worker the dispatcher is most likely to pick, and the reference task
+  // that desired-processor queries, reload-cost scoring and the decision
+  // trace all use.
+  CacheOwner ReferenceTask(JobId id) const;
+  // Seconds of miss service to refill a `ws_blocks` working set on
+  // processor `proc` when `resident` blocks of it are already there:
+  // (MaxResident - resident) x miss service, or 0 if nothing is missing.
+  double ReloadSeconds(size_t proc, double resident, double ws_blocks) const;
 
   // --- State -----------------------------------------------------------------
 

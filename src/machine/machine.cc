@@ -104,6 +104,11 @@ Processor& Machine::processor(size_t i) {
   return processors_[i];
 }
 
+const Processor& Machine::processor(size_t i) const {
+  AFF_CHECK(i < processors_.size());
+  return processors_[i];
+}
+
 Machine::ChunkExecution Machine::ExecuteChunk(SimTime now, size_t proc, CacheOwner owner,
                                               const WorkingSetParams& ws, SimDuration work,
                                               std::span<const SiblingPlacement> siblings) {

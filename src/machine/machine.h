@@ -13,7 +13,6 @@
 #define SRC_MACHINE_MACHINE_H_
 
 #include <cmath>
-#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,6 +21,7 @@
 #include "src/cache/bus.h"
 #include "src/cache/cache_model.h"
 #include "src/cache/geometry.h"
+#include "src/common/recency_list.h"
 #include "src/topology/hier_cache.h"
 #include "src/topology/topology.h"
 
@@ -108,24 +108,15 @@ class Processor {
   void SetCurrentTask(CacheOwner task) { current_task_ = task; }
 
   // History: the last task to have run on this processor.
-  CacheOwner last_task() const { return history_.empty() ? kNoOwner : history_.front(); }
+  CacheOwner last_task() const { return history_.MostRecent(kNoOwner); }
 
   // Most-recent-first list of the last T distinct tasks to have run here.
-  const std::deque<CacheOwner>& recent_tasks() const { return history_; }
+  std::span<const CacheOwner> recent_tasks() const { return history_.items(); }
 
+  // Re-dispatching a remembered task moves it to the front.
   void RecordDispatch(CacheOwner task) {
     current_task_ = task;
-    // Move-to-front semantics: re-dispatching a remembered task refreshes it.
-    for (auto it = history_.begin(); it != history_.end(); ++it) {
-      if (*it == task) {
-        history_.erase(it);
-        break;
-      }
-    }
-    history_.push_front(task);
-    while (history_.size() > history_depth_) {
-      history_.pop_back();
-    }
+    history_.Record(task, history_depth_);
   }
 
  private:
@@ -133,7 +124,7 @@ class Processor {
   size_t history_depth_;
   std::unique_ptr<CacheModel> cache_;
   CacheOwner current_task_ = kNoOwner;
-  std::deque<CacheOwner> history_;
+  RecencyList<CacheOwner> history_;
 };
 
 class Machine {
@@ -143,6 +134,7 @@ class Machine {
   const MachineConfig& config() const { return config_; }
   size_t num_processors() const { return processors_.size(); }
   Processor& processor(size_t i);
+  const Processor& processor(size_t i) const;
   SharedBus& bus() { return bus_; }
   const Topology& topology() const { return topology_; }
 

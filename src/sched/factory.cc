@@ -106,11 +106,6 @@ std::vector<PolicyKind> DynamicFamily() {
   return {PolicyKind::kDynamic, PolicyKind::kDynAff, PolicyKind::kDynAffDelay};
 }
 
-std::vector<PolicyKind> TopologyPolicyFamily() {
-  return {PolicyKind::kEquipartition, PolicyKind::kDynamic, PolicyKind::kDynAff,
-          PolicyKind::kDynAffCluster, PolicyKind::kDynAffNode};
-}
-
 std::vector<PolicyKind> MqPolicyFamily() {
   return {PolicyKind::kMqNoSteal, PolicyKind::kMqSibling, PolicyKind::kMqCluster,
           PolicyKind::kMqNuma};

@@ -51,10 +51,6 @@ bool PolicyKindFromName(const std::string& name, PolicyKind* kind);
 // The policies Figure 5 compares against Equipartition, in paper order.
 std::vector<PolicyKind> DynamicFamily();
 
-// The line-up the topology experiments compare on hierarchical machines:
-// Equipartition, Dynamic, and the exact/cluster/node affinity variants.
-std::vector<PolicyKind> TopologyPolicyFamily();
-
 // The multi-queue (MQMS) steal-policy family, no-steal baseline first, then
 // by widening steal radius (src/sched/multiqueue.h).
 std::vector<PolicyKind> MqPolicyFamily();

@@ -7,10 +7,10 @@
 #define SRC_WORKLOAD_WORKER_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "src/cache/exact_cache.h"
+#include "src/common/recency_list.h"
 #include "src/workload/job.h"
 
 namespace affsched {
@@ -32,37 +32,17 @@ struct Worker {
 
   // Affinity history: the last P distinct processors this task ran on,
   // most-recent-first (Section 5.3; the paper evaluates P = 1).
-  std::deque<size_t> processor_history;
+  RecencyList<size_t> processor_history;
   size_t history_depth = 1;
 
-  size_t last_processor() const {
-    return processor_history.empty() ? kNoProcessor : processor_history.front();
-  }
+  size_t last_processor() const { return processor_history.MostRecent(kNoProcessor); }
 
-  void RecordPlacement(size_t proc) {
-    for (auto it = processor_history.begin(); it != processor_history.end(); ++it) {
-      if (*it == proc) {
-        processor_history.erase(it);
-        break;
-      }
-    }
-    processor_history.push_front(proc);
-    while (processor_history.size() > history_depth) {
-      processor_history.pop_back();
-    }
-  }
+  void RecordPlacement(size_t proc) { processor_history.Record(proc, history_depth); }
 
   // True if `proc` is in this task's affinity history. Statistics
   // (%affinity) always use the strongest form — the most recent processor —
   // so deeper histories do not inflate the Table 3 metric.
-  bool HasAffinityFor(size_t proc) const {
-    for (size_t p : processor_history) {
-      if (p == proc) {
-        return true;
-      }
-    }
-    return false;
-  }
+  bool HasAffinityFor(size_t proc) const { return processor_history.Contains(proc); }
 
   bool MostRecentProcessorIs(size_t proc) const { return last_processor() == proc; }
 };

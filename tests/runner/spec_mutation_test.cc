@@ -1,7 +1,7 @@
 // Deterministic mutation test over the three spec grammars (closed sweeps,
 // open sweeps, topologies). The corpus is every preset, the override
-// examples in README.md and EXPERIMENTS.md, the grids bench_fig6_nopri and
-// bench_table4_homogeneous run, and specs sitting at the size caps. Each
+// examples in README.md and EXPERIMENTS.md, the Figure 6 and Table 4 grids
+// (DESIGN.md §5), and specs sitting at the size caps. Each
 // mutant is a truncation, a deleted byte, or one byte replaced by a
 // character the grammar gives meaning to. Every mutant must either fail with
 // a message or parse into a spec the machine accepts with every number

@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "src/runner/sweep.h"
 #include "src/sched/dynamic.h"
 #include "src/sched/factory.h"
 #include "src/topology/topology.h"
@@ -56,9 +57,20 @@ TEST(TopologyPolicyTest, CliNamesRoundTrip) {
 }
 
 TEST(TopologyPolicyTest, TopologyFamilyIncludesDistanceVariants) {
-  const std::vector<PolicyKind> family = TopologyPolicyFamily();
-  EXPECT_NE(std::find(family.begin(), family.end(), PolicyKind::kDynAffCluster), family.end());
-  EXPECT_NE(std::find(family.begin(), family.end(), PolicyKind::kDynAffNode), family.end());
+  // The line-up the topology comparison sweeps on hierarchical machines
+  // (EXPERIMENTS.md): Equipartition, Dynamic, and the exact/cluster/node
+  // affinity variants.
+  SweepSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseSweepSpec(
+      "smoke;reps=2;mixes=6;policies=equi,dynamic,dyn-aff,dyn-aff-cluster,dyn-aff-node;"
+      "topology=cmp-2x10",
+      &spec, &error))
+      << error;
+  const std::vector<PolicyKind> family = {PolicyKind::kEquipartition, PolicyKind::kDynamic,
+                                          PolicyKind::kDynAff, PolicyKind::kDynAffCluster,
+                                          PolicyKind::kDynAffNode};
+  EXPECT_EQ(spec.policies, family);
 }
 
 TEST(TopologyPolicyTest, DefaultViewTreatsOffCoreAsOneTier) {

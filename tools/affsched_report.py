@@ -8,7 +8,13 @@ Usage:
 summary: prints human-readable tables for any result document the toolchain
 writes — a closed sweep (schema_version 1 or 3, `simctl --sweep`), an open
 sweep (schema_version 2, `simctl --open`), or a run manifest
-(`simctl --manifest`). Schema-3 documents additionally get the
+(`simctl --manifest`). A closed sweep renders the paper's tables from its
+fields: the programs in each mix (Table 2); per job, the mean response, its
+ratio to Equipartition (Figure 5) and the affinity terms %affinity,
+#reallocations and reallocation interval (Table 3), plus the per-tier steal
+and balance counters when the grid ran a multi-queue policy; and per policy,
+the range of its vs-equi ratios (Figure 6's spread) and its mean job
+response in each mix (Table 4). Schema-3 documents additionally get the
 affinity-efficiency table from their "observability" block and the
 deadline/tardiness table from their "rt" block (`simctl --sweep=rt`).
 Statistics that are missing or NaN (e.g. percentiles of a cell that
@@ -83,22 +89,67 @@ def summarize_sweep(doc):
           f"{len(doc['experiments'])} experiments")
     print()
 
+    programs = {}
+    for exp in doc["experiments"]:
+        counts = programs.setdefault(exp["mix"], {})
+        if not counts:
+            for job in exp["jobs"]:
+                counts[job["app"]] = counts.get(job["app"], 0) + 1
+    for mix, counts in programs.items():
+        print(f"mix {mix}: " + ", ".join(f"{n} {app}" for app, n in counts.items()))
+    print()
+
     ratios = {(r["mix"], r["policy"], r["job"]): r["ratio"]
               for r in doc.get("relative_response", [])}
+    steals = any("steals" in job["mean_stats"]
+                 for exp in doc["experiments"] for job in exp["jobs"])
     rows = []
     for exp in doc["experiments"]:
         for job in exp["jobs"]:
             key = (exp["mix"], exp["policy"], job["index"])
-            rows.append([
+            stats = job["mean_stats"]
+            row = [
                 exp["mix"], exp["policy"],
                 f"{job['app']} ({job['index']})", exp["replications"],
                 fmt(job.get("mean_response_s"), 2),
                 fmt(job.get("ci_half_width_s"), 2),
                 fmt(ratios.get(key), 3) if key in ratios else "-",
-            ])
-    print(render_table(
-        ["mix", "policy", "job", "reps", "mean RT (s)", "ci (s)", "vs equi"],
-        rows))
+                fmt(100.0 * stats["affinity_fraction"], 0) + "%",
+                stats["reallocations"],
+                fmt(1e3 * stats["realloc_interval_s"], 0),
+            ]
+            if steals:
+                tiers = stats.get("steals", {})
+                row += [f"{tiers.get('same_cluster', 0)}/{tiers.get('same_node', 0)}/"
+                        f"{tiers.get('cross_node', 0)}", stats.get("balance_migrations", 0)]
+            rows.append(row)
+    header = ["mix", "policy", "job", "reps", "mean RT (s)", "ci (s)", "vs equi",
+              "aff %", "reallocs", "interval (ms)"]
+    if steals:
+        header += ["steals c/n/x", "balance"]
+    print(render_table(header, rows))
+
+    # Per policy: the spread of its vs-equi ratios over every job, and the
+    # mean over a mix's jobs of their mean responses.
+    print()
+    by_cell = {(exp["policy"], exp["mix"]): exp for exp in doc["experiments"]}
+    rows = []
+    for policy in spec["policies"]:
+        policy_ratios = [r for (_, p, _), r in ratios.items() if p == policy]
+        row = [policy, f"[{fmt(min(policy_ratios), 3)}, {fmt(max(policy_ratios), 3)}]"
+               if policy_ratios else "-"]
+        for mix in programs:
+            jobs = by_cell.get((policy, mix), {}).get("jobs")
+            if not jobs:
+                row.append("-")
+                continue
+            total = 0.0  # left to right: sum() compensates from Python 3.12
+            for job in jobs:
+                total += job["mean_response_s"]
+            row.append(fmt(total / len(jobs), 2))
+        rows.append(row)
+    print(render_table(["policy", "vs equi range"] +
+                       [f"mix {mix} mean RT (s)" for mix in programs], rows))
 
     obs = doc.get("observability", {}).get("experiments")
     if obs:
@@ -130,7 +181,7 @@ def summarize_sweep(doc):
                 fmt(entry.get("deadline_miss_rate"), 3),
                 fmt(entry.get("mean_tardiness_s"), 4),
                 fmt(entry.get("p99_tardiness_s"), 4),
-                fmt(entry.get("worst_reload_s"), 6),
+                fmt(entry.get("worst_reload_s"), 9),
             ])
         print(render_table(
             ["mix", "policy", "done", "misses", "miss rate",

@@ -40,8 +40,9 @@ applies.
 (`bench_sim_microbench --benchmark_out=... --benchmark_out_format=json`,
 ideally with --benchmark_repetitions); BASELINE.json is the committed sweep
 baseline, whose object named by --floors-key (default "microbench"; the
-open-system load bench gates against "microbench_opensys") maps benchmark
-names to items_per_second floors. The gate takes the MAX items/sec across
+sweep-throughput entries gate against "microbench_opensys",
+"microbench_topology", "microbench_multiqueue" and "microbench_rt") maps
+benchmark names to items_per_second floors. The gate takes the MAX items/sec across
 repetitions (single-core CI boxes dip, they do not spike, so the max is
 the least noisy estimate of real throughput) and fails on a >--tolerance
 drop below the floor. Throughput gains do not fail the gate — raise the
@@ -247,8 +248,10 @@ def main():
                              "items/sec against BASELINE's floors")
     parser.add_argument("--floors-key", default="microbench",
                         help="BASELINE object holding the --microbench floors "
-                             "(default 'microbench'; bench_opensys_load uses "
-                             "'microbench_opensys')")
+                             "(default 'microbench'; bench_sim_microbench's "
+                             "sweep entries use 'microbench_opensys', "
+                             "'microbench_topology', 'microbench_multiqueue' "
+                             "and 'microbench_rt')")
     args = parser.parse_args()
 
     if args.microbench:
