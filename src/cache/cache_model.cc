@@ -25,4 +25,8 @@ double ExpectedMaxResident(double capacity_blocks, size_t ways, double blocks) {
   return std::min(blocks, sets * expected);
 }
 
+double TouchFraction(double seconds, double tau_s) {
+  return tau_s > 0.0 ? 1.0 - std::exp(-seconds / tau_s) : 1.0;
+}
+
 }  // namespace affsched

@@ -63,8 +63,7 @@ CacheChunkResult PartitionedCacheModel::RunChunk(CacheOwner owner, const Working
   }
 
   const ColorMask mask = ReservedColors(owner);
-  const double touch_fraction =
-      ws.buildup_tau_s > 0.0 ? 1.0 - std::exp(-seconds / ws.buildup_tau_s) : 1.0;
+  const double touch_fraction = touch_fraction_.Get(seconds, ws.buildup_tau_s);
   result.steady_misses = ws.steady_miss_per_s * seconds;
 
   // Zero reserved colors: always-cold. Every distinct block the chunk touches

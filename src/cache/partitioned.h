@@ -114,6 +114,7 @@ class PartitionedCacheModel final : public CacheModel {
   std::vector<ColorMask> reserved_;
   std::vector<double> interference_on_;
   MaxResidentMemo max_resident_;
+  TouchFractionMemo touch_fraction_;
 };
 
 }  // namespace affsched
