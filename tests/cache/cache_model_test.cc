@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "src/cache/exact_model.h"
@@ -197,6 +198,15 @@ TEST(ExpectedMaxResidentTest, SmallWorkingSetsFitEntirely) {
 
 TEST(ExpectedMaxResidentTest, CapIsBoundedByCapacity) {
   EXPECT_LE(ExpectedMaxResident(4096.0, 2, 1e9), 4096.0 + 1e-6);
+}
+
+TEST(TouchFractionTest, MemoReturnsTheFunctionsValueForEveryInputChange) {
+  TouchFractionMemo memo;
+  EXPECT_EQ(memo.Get(0.002, 0.05), 1.0 - std::exp(-0.002 / 0.05));
+  EXPECT_EQ(memo.Get(0.002, 0.05), TouchFraction(0.002, 0.05));
+  EXPECT_EQ(memo.Get(0.0015, 0.05), TouchFraction(0.0015, 0.05));
+  EXPECT_EQ(memo.Get(0.0015, 0.01), TouchFraction(0.0015, 0.01));
+  EXPECT_EQ(memo.Get(0.0015, 0.0), 1.0);
 }
 
 TEST(ExpectedMaxResidentTest, MemoReturnsTheFunctionsValueForEveryInputChange) {

@@ -1,9 +1,11 @@
 #include "src/engine/dispatcher.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/cache/footprint.h"
 #include "src/common/time.h"
 #include "tests/engine/core_harness.h"
 
@@ -110,8 +112,7 @@ TEST(DispatcherTest, DispatchWorkerRunsReadyThreadAndRecordsPlacement) {
   EXPECT_EQ(w.state, Worker::State::kRunning);
   EXPECT_EQ(w.processor, 0u);
   EXPECT_EQ(w.last_processor(), 0u);
-  EXPECT_EQ(h.core.job_state(id).running,
-            (std::vector<Machine::SiblingPlacement>{{0, ps.running}}));
+  EXPECT_EQ(h.core.job_state(id).running, 1u);
   EXPECT_EQ(h.core.job_state(id).job->stats().reallocations, 1u);
   // The chunk-completion event is in flight.
   EXPECT_FALSE(h.core.queue.empty());
@@ -175,6 +176,68 @@ TEST(DispatcherTest, DispatchWithoutReadyThreadEntersHolding) {
   EXPECT_EQ(h.core.worker(ps.holding).state, Worker::State::kHolding);
   // Zero yield delay: the processor is already advertised.
   EXPECT_TRUE(ps.willing);
+}
+
+// Runs a lone 10 ms thread writing `shared_write_per_s` to completion and
+// returns its worker's footprint and the bus's transfer total.
+std::pair<double, double> LoneWorkerFootprintAndTraffic(double shared_write_per_s) {
+  CoreHarness h;
+  const JobId id = h.AddActiveJob(1, Milliseconds(10));
+  JobState& js = h.core.job_state(id);
+  js.profile->working_set.blocks = 1000.0;
+  js.profile->working_set.shared_write_per_s = shared_write_per_s;
+  h.core.procs[0].holder = id;
+  js.allocation = 1;
+  h.dispatcher.DispatchWorker(0);
+  const CacheOwner w = h.core.procs[0].running;
+  while (!h.core.queue.empty()) {
+    h.core.queue.RunNext();
+  }
+  EXPECT_TRUE(js.job->Finished());
+  // Five 2 ms chunks: the writes accrued, and the writer is marked past them.
+  EXPECT_DOUBLE_EQ(js.invalidation_debt, shared_write_per_s * 0.010);
+  EXPECT_EQ(h.core.worker(w).settled_debt, js.invalidation_debt);
+  return {h.core.machine.processor(0).cache().Resident(w),
+          h.core.machine.bus().total_transfers()};
+}
+
+// A worker's own shared writes fall due on its siblings only: running chunk
+// after chunk, a lone writer is never invalidated by itself.
+TEST(DispatcherTest, OwnSharedWritesAreNotOwedBack) {
+  const auto [quiet_resident, quiet_traffic] = LoneWorkerFootprintAndTraffic(0.0);
+  const auto [writer_resident, writer_traffic] = LoneWorkerFootprintAndTraffic(20'000.0);
+  EXPECT_GT(quiet_resident, 0.0);
+  EXPECT_EQ(writer_resident, quiet_resident);
+  EXPECT_EQ(writer_traffic, quiet_traffic);
+}
+
+// Thread completion settles the worker's debt before the turnover, so the
+// next thread keeps `thread_overlap` of what the siblings left: (r - D) *
+// keep, the order eager invalidations produced, not r * keep - D.
+TEST(DispatcherTest, ThreadCompletionSettlesBeforeReplacingOwnerData) {
+  CoreHarness h(/*procs=*/2);
+  const JobId id = h.AddActiveJob(2, Milliseconds(1));
+  JobState& js = h.core.job_state(id);
+  js.profile->working_set.blocks = 1000.0;
+  js.profile->working_set.shared_write_per_s = 20'000.0;  // 20 blocks a 1 ms chunk
+  js.profile->thread_overlap = 0.5;
+  h.core.procs[0].holder = id;
+  h.core.procs[1].holder = id;
+  js.allocation = 2;
+
+  // Each worker runs its thread's one chunk. w2 starts after w1's writes
+  // (it owes none of them); w1 owes w2's 20 blocks.
+  h.dispatcher.DispatchWorker(0);
+  h.dispatcher.DispatchWorker(1);
+  const CacheOwner w1 = h.core.procs[0].running;
+  auto& cache = static_cast<FootprintCache&>(h.core.machine.processor(0).cache());
+  cache.SetResident(w1, 600.0);
+
+  while (h.core.worker(w1).current.has_value()) {
+    ASSERT_TRUE(h.core.queue.RunNext());
+  }
+  EXPECT_DOUBLE_EQ(cache.Resident(w1), (600.0 - 20.0) * 0.5);
+  EXPECT_EQ(h.core.worker(w1).settled_debt, js.invalidation_debt);
 }
 
 }  // namespace
