@@ -7,7 +7,7 @@
 // in insertion order, searched linearly: a lookup scans a cache line or two,
 // nothing is hashed, and memory grows with the owners actually resident, not
 // with the number of workers. Every member is defined here so the chunk path
-// (one Eject per coherence sibling) compiles to straight-line code.
+// (including a settled coherence Eject) compiles to straight-line code.
 //
 // The insertion order fixes the order of the one sum taken over the owners
 // (DecayOthers), so trajectories do not depend on how owners hash.
