@@ -157,9 +157,9 @@ constexpr SweepBench kSweepBenches[] = {
     {"BM_MultiQueueNoSteal", "mq;reps=1;mixes=5;steal=nosteal", false},
     {"BM_MultiQueueStealCluster", "mq;reps=1;mixes=5;steal=cluster", false},
     {"BM_MultiQueueStealNuma", "mq;reps=1;mixes=5;steal=numa", false},
-    // The 8-color partitioned machine: dyn-aff pays the substrate alone, the
-    // static planners add ComputeStaticAssignment on every arrival and
-    // departure, and color-iso the per-slice interference bookkeeping.
+    // The 8-color machine: dyn-aff pays the colored cache alone, the static
+    // planners add ComputeStaticAssignment on every arrival and departure,
+    // and color-iso the per-slice ejection of disjoint reservations.
     {"BM_RtDynAff", "rt;reps=1;mixes=5;policies=dyn-aff", false},
     {"BM_RtStaticAffinity", "rt;reps=1;mixes=5;policies=rt-static-affinity", false},
     {"BM_RtColorIso", "rt;reps=1;mixes=5;policies=rt-color-iso", false},

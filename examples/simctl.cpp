@@ -384,8 +384,8 @@ int main(int argc, char** argv) {
                 "report deadline misses/tardiness; composes with --sweep and "
                 "--open (rt=1 spec override)");
   flags.AddInt("colors", 0,
-               "page colors for the partitioned cache substrate (0 = footprint "
-               "model); composes with --sweep and --open (colors=N override)");
+               "page colors dividing each processor's cache (0 = uncolored); "
+               "composes with --sweep and --open (colors=N override)");
   flags.AddString("deadline-mix", "soft",
                   "deadline mix for --rt: soft, hard, mixed, or tight "
                   "(tight is a guaranteed-miss fixture)");
@@ -453,13 +453,10 @@ int main(int argc, char** argv) {
   machine.cache_size_factor = flags.GetDouble("cache");
   const int colors = static_cast<int>(flags.GetInt("colors"));
   if (colors < 0 || colors > 64) {
-    std::printf("--colors must be in 0..64 (0 = footprint model)\n");
+    std::printf("--colors must be in 0..64 (0 = uncolored)\n");
     return 1;
   }
-  if (colors > 0) {
-    machine.num_colors = static_cast<size_t>(colors);
-    machine.cache_model = CacheModelKind::kPartitioned;
-  }
+  machine.num_colors = static_cast<size_t>(colors);
   if (!flags.GetString("topology").empty()) {
     std::string topology_error;
     if (!ParseTopologySpec(flags.GetString("topology"), &machine.topology, &topology_error)) {

@@ -1,5 +1,5 @@
-// Residency: the resident footprints of one analytic cache (FootprintCache,
-// PartitionedCacheModel) and their running total.
+// Residency: the resident footprints of one FootprintCache (colored or not)
+// and their running total.
 //
 // A cache holds few owners at once: 2-3 on average at a chunk on the paper's
 // grids and the mq/rt ones, 7.5 on cmp-2x10, 14 on the open-system grid, a

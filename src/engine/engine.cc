@@ -88,7 +88,7 @@ void Engine::OnJobArrival(JobId id) {
   // Color reservation is consulted once, after the arrival decision (so the
   // policy has already folded the job into its plan) and before any worker
   // exists (so every worker inherits the mask).
-  if (core_.machine.config().cache_model == CacheModelKind::kPartitioned) {
+  if (core_.machine.config().num_colors > 0) {
     core_.job_state(id).color_mask = core_.policy->ColorMask(*this, id);
   }
   alloc_.ApplyDecision(std::move(decision), DecisionSite::kJobArrival);

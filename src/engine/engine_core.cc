@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "src/cache/partitioned.h"
+#include "src/cache/footprint.h"
 #include "src/common/check.h"
 
 namespace affsched {
@@ -52,14 +52,13 @@ CacheOwner EngineCore::CreateWorker(JobId id) {
   w.history_depth = options.processor_history_depth;
   AFF_CHECK(wid == workers.size() + 1);
   workers.push_back(w);
-  // Partitioned substrate: a worker inherits its job's color reservation in
-  // every private cache, so wherever it lands its reloads and interference
-  // are confined to the job's colors.
-  if (machine.config().cache_model == CacheModelKind::kPartitioned) {
+  // Colored machine: a worker inherits its job's color reservation in every
+  // private cache, so wherever it lands its reloads and interference are
+  // confined to the job's colors.
+  if (machine.config().num_colors > 0) {
     const uint64_t mask = job_state(id).color_mask;
     for (size_t p = 0; p < machine.num_processors(); ++p) {
-      static_cast<PartitionedCacheModel&>(machine.processor(p).cache())
-          .ReserveColors(wid, mask);
+      static_cast<FootprintCache&>(machine.processor(p).cache()).ReserveColors(wid, mask);
     }
   }
   return wid;

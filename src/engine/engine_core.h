@@ -100,7 +100,7 @@ struct JobState {
   SimTime alloc_update = 0;
   std::unique_ptr<WeightedHistogram> par_hist;
   SimTime par_update = 0;
-  // Cache-color reservation (partitioned cache model only): the mask the
+  // Cache-color reservation (colored machines only): the mask the
   // policy answered at arrival, applied to every worker this job creates.
   // All-ones — every color — for jobs under non-partitioning policies.
   uint64_t color_mask = ~0ull;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "src/cache/partitioned.h"
+#include "src/cache/footprint.h"
 #include "src/common/check.h"
 
 namespace affsched {

@@ -48,12 +48,8 @@ bool ApplyGridKey(const std::string& key, const std::string& value, const std::s
     return ParseTopologySpec(value, &machine.topology, error);
   }
   if (key == "colors") {
-    // N >= 1 selects the partitioned cache model with N page colors; 0 the
-    // footprint model.
-    const bool ok = ReadSpecNumber(key, value, &machine.num_colors, error);
-    machine.cache_model =
-        machine.num_colors > 0 ? CacheModelKind::kPartitioned : CacheModelKind::kFootprint;
-    return ok;
+    // N >= 1 divides each cache into N page colors; 0 leaves it uncolored.
+    return ReadSpecNumber(key, value, &machine.num_colors, error);
   }
   if (key == "rt") {
     return ReadSpecBool(key, value, &spec->rt, error);
@@ -72,7 +68,7 @@ void AppendGridSpecJsonHead(const GridSpec& spec, std::ostream& o) {
     << ",\"root_seed\":" << spec.root_seed << ",\"machine\":{\"procs\":"
     << spec.machine.num_processors << ",\"speed\":" << JsonNumber(spec.machine.processor_speed)
     << ",\"cache\":" << JsonNumber(spec.machine.cache_size_factor);
-  if (spec.machine.cache_model == CacheModelKind::kPartitioned) {
+  if (spec.machine.num_colors > 0) {
     o << ",\"colors\":" << spec.machine.num_colors;
   }
   if (!spec.machine.topology.IsFlat()) {

@@ -116,7 +116,6 @@ SweepSpec RtSpec() {
   spec.root_seed = 1000;
   spec.rt = true;
   spec.deadline_mix = "soft";
-  spec.machine.cache_model = CacheModelKind::kPartitioned;
   spec.machine.num_colors = 8;
   return spec;
 }

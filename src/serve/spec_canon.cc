@@ -40,10 +40,9 @@ void AppendMachineCanon(const SweepSpec& spec, std::ostringstream& o) {
     << ";topology=" << (spec.machine.topology.IsFlat() ? std::string("flat")
                                                        : spec.machine.topology.ToSpecString())
     << ";balance-ns=" << spec.engine.balance_interval
-    // The partitioned substrate and the deadline stamp both change every
-    // cell's simulated stats, so they are part of both key levels.
-    << ";colors="
-    << (spec.machine.cache_model == CacheModelKind::kPartitioned ? spec.machine.num_colors : 0)
+    // Page colors and the deadline stamp both change every cell's simulated
+    // stats, so they are part of both key levels.
+    << ";colors=" << spec.machine.num_colors
     << ";rt=" << (spec.rt ? 1 : 0) << ";deadline-mix=" << (spec.rt ? spec.deadline_mix : "none");
 }
 

@@ -11,7 +11,6 @@
 
 #include "src/cache/exact_model.h"
 #include "src/cache/footprint.h"
-#include "src/cache/partitioned.h"
 #include "src/machine/machine.h"
 #include "src/topology/hier_cache.h"
 #include "src/topology/topology.h"
@@ -138,8 +137,12 @@ class EjectBlocksContractTest : public ::testing::TestWithParam<Substrate> {
         return MakeModel(/*exact=*/false);
       case Substrate::kExact:
         return MakeModel(/*exact=*/true);
-      case Substrate::kPartitioned:
-        return std::make_unique<PartitionedCacheModel>(kCapacityBlocks, 2, /*colors=*/8);
+      case Substrate::kPartitioned: {
+        // Reserved as a colored machine reserves every worker.
+        auto colored = std::make_unique<FootprintCache>(kCapacityBlocks, 2, /*colors=*/8);
+        colored->ReserveColors(1, kAllColors);
+        return colored;
+      }
       case Substrate::kHierarchical:
         return std::make_unique<HierarchicalCacheModel>(kCapacityBlocks, 2, topology_,
                                                         &topo_state_, /*proc=*/0);

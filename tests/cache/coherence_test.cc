@@ -8,7 +8,6 @@
 #include "src/apps/apps.h"
 #include "src/cache/exact_model.h"
 #include "src/cache/footprint.h"
-#include "src/cache/partitioned.h"
 #include "src/engine/engine.h"
 #include "src/machine/machine.h"
 #include "src/sched/factory.h"
@@ -95,14 +94,13 @@ TEST(MachineCoherenceTest, SelfIsNotASibling) {
   EXPECT_GE(machine.processor(0).cache().Resident(1), warm - 1.0);
 }
 
-// Why lazy settlement keeps the analytic substrates' arithmetic: between a
-// running worker's own chunks only its siblings' invalidations touch its
-// footprint, so ejecting each sibling share as it is written (the eager
-// order) and ejecting their sum, debt less mark, at the next chunk start
-// leave the same footprint: successive min(e_i, r) steps are one
-// min(sum e_i, r). A second, idle owner shares the cache throughout.
-template <typename Cache>
-void ExpectSettledSumMatchesEagerShares(Cache& eager, Cache& lazy) {
+// Why lazy settlement keeps the analytic substrate's arithmetic, colored or
+// not: between a running worker's own chunks only its siblings'
+// invalidations touch its footprint, so ejecting each sibling share as it is
+// written (the eager order) and ejecting their sum, debt less mark, at the
+// next chunk start leave the same footprint: successive min(e_i, r) steps
+// are one min(sum e_i, r). A second, idle owner shares the cache throughout.
+void ExpectSettledSumMatchesEagerShares(FootprintCache& eager, FootprintCache& lazy) {
   const WorkingSetParams ws{.blocks = 1500.0, .buildup_tau_s = 0.01, .steady_miss_per_s = 500.0};
   eager.SetResident(2, 300.0);
   lazy.SetResident(2, 300.0);
@@ -135,9 +133,9 @@ TEST(LazyCoherenceTest, FootprintSettledSumMatchesEagerShares) {
 }
 
 TEST(LazyCoherenceTest, PartitionedSettledSumMatchesEagerShares) {
-  PartitionedCacheModel eager(4096.0, 2, /*num_colors=*/8);
-  PartitionedCacheModel lazy(4096.0, 2, /*num_colors=*/8);
-  for (PartitionedCacheModel* cache : {&eager, &lazy}) {
+  FootprintCache eager(4096.0, 2, /*colors=*/8);
+  FootprintCache lazy(4096.0, 2, /*colors=*/8);
+  for (FootprintCache* cache : {&eager, &lazy}) {
     cache->ReserveColors(1, 0b0011);
     cache->ReserveColors(2, 0b0110);
   }

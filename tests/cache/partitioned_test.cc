@@ -1,4 +1,5 @@
-#include "src/cache/partitioned.h"
+// The colored footprint cache: page-color reservations partition one
+// FootprintCache (src/cache/footprint.h).
 
 #include <gtest/gtest.h>
 
@@ -22,18 +23,20 @@ TEST(PartitionedCacheTest, FullColorMaskBasics) {
 }
 
 TEST(PartitionedCacheTest, ReservationTrimsToMachineColors) {
-  PartitionedCacheModel cache(kCapacity, 2, 4);
+  FootprintCache cache(kCapacity, 2, 4);
   cache.ReserveColors(1, kAllColors);
   EXPECT_EQ(cache.ReservedColors(1), FullColorMask(4));
   // Owners without an explicit reservation default to every color.
   EXPECT_EQ(cache.ReservedColors(2), FullColorMask(4));
 }
 
-// With all-ones masks the eviction algebra collapses term for term onto
-// FootprintCache (n_sh == n_o == n_own, shared capacity == full capacity),
-// so the partitioned substrate is a strict generalisation of the flat one.
+// With all-ones masks the color algebra collapses term for term onto the
+// uncolored one (n_sh == n_o == n_own, shared capacity == full capacity), so
+// coloring is a strict generalisation of the flat cache.
 TEST(PartitionedCacheTest, AllColorsReservedMatchesFootprintCache) {
-  PartitionedCacheModel partitioned(kCapacity, 2, 8);
+  FootprintCache partitioned(kCapacity, 2, 8);
+  partitioned.ReserveColors(1, kAllColors);
+  partitioned.ReserveColors(2, kAllColors);
   FootprintCache flat(kCapacity, 2);
   const WorkingSetParams a = TestWs(2000.0, 0.05, 50.0);
   const WorkingSetParams b = TestWs(900.0, 0.03, 10.0);
@@ -52,8 +55,23 @@ TEST(PartitionedCacheTest, AllColorsReservedMatchesFootprintCache) {
   EXPECT_NEAR(partitioned.Occupied(), flat.Occupied(), 1e-9);
 }
 
+// Until some owner is reserved, a cache of any color count runs the uncolored
+// arithmetic exactly: one survival factor, pow(1 - 1/C, evicting), for every
+// other owner.
+TEST(PartitionedCacheTest, UnreservedCacheDecaysOthersByOneFactor) {
+  for (const size_t colors : {1, 8}) {
+    FootprintCache cache(kCapacity, 2, colors);
+    cache.SetResident(2, 700.0);
+    const auto result = cache.RunChunk(1, TestWs(1500.0, 0.05, 30.0), 0.03);
+    const double evicting = result.reload_misses + result.steady_misses;
+    ASSERT_GT(evicting, 0.0);
+    EXPECT_EQ(cache.Resident(2), 700.0 * std::pow(1.0 - 1.0 / kCapacity, evicting))
+        << colors << " colors";
+  }
+}
+
 TEST(PartitionedCacheTest, ZeroReservedColorsIsAlwaysCold) {
-  PartitionedCacheModel cache(kCapacity, 2, 8);
+  FootprintCache cache(kCapacity, 2, 8);
   cache.ReserveColors(2, 0x0Full);
   cache.SetResident(2, 400.0);
   cache.ReserveColors(1, 0);
@@ -68,12 +86,11 @@ TEST(PartitionedCacheTest, ZeroReservedColorsIsAlwaysCold) {
   EXPECT_NEAR(second.reload_misses, first.reload_misses, 1e-9);
   // With nowhere to insert, no other owner is disturbed.
   EXPECT_DOUBLE_EQ(cache.Resident(2), 400.0);
-  EXPECT_DOUBLE_EQ(cache.interference_evictions(), 0.0);
 }
 
 TEST(PartitionedCacheTest, ColorCountNeedNotDivideCapacity) {
   // 1000 blocks over 7 colors: slices are fractional but exact in aggregate.
-  PartitionedCacheModel cache(1000.0, 2, 7);
+  FootprintCache cache(1000.0, 2, 7);
   EXPECT_NEAR(cache.ColorCapacity(), 1000.0 / 7.0, 1e-12);
   EXPECT_NEAR(cache.ReservedCapacity(FullColorMask(7)), 1000.0, 1e-9);
   EXPECT_NEAR(cache.ReservedCapacity(0x7ull), 3000.0 / 7.0, 1e-9);
@@ -90,21 +107,19 @@ TEST(PartitionedCacheTest, ColorCountNeedNotDivideCapacity) {
 }
 
 TEST(PartitionedCacheTest, DisjointReservationsAreIsolated) {
-  PartitionedCacheModel cache(kCapacity, 2, 8);
+  FootprintCache cache(kCapacity, 2, 8);
   cache.ReserveColors(1, 0x03ull);  // colors {0,1}
   cache.ReserveColors(2, 0x0Cull);  // colors {2,3}
   cache.SetResident(2, 500.0);
   cache.RunChunk(1, TestWs(3000.0, 0.05, 100.0), 10.0);
   EXPECT_DOUBLE_EQ(cache.Resident(2), 500.0);
-  EXPECT_DOUBLE_EQ(cache.interference_evictions(), 0.0);
-  EXPECT_DOUBLE_EQ(cache.InterferenceOn(2), 0.0);
 }
 
 // Hand-computed worst case: owner 1 (two colors) overlaps owner 2 (two
 // colors) on exactly one color. Every term below follows the model comment
-// in src/cache/partitioned.h.
+// in src/cache/footprint.h.
 TEST(PartitionedCacheTest, TwoJobSharedColorInterferenceMatchesHandComputation) {
-  PartitionedCacheModel cache(kCapacity, 2, 8);
+  FootprintCache cache(kCapacity, 2, 8);
   const double color_capacity = kCapacity / 8.0;  // 512
   const ColorMask mask1 = 0x03ull;                // colors {0,1}
   const ColorMask mask2 = 0x06ull;                // colors {1,2}; shares color 1
@@ -131,14 +146,12 @@ TEST(PartitionedCacheTest, TwoJobSharedColorInterferenceMatchesHandComputation) 
   const double directed = evicting * 0.5;
   const double survival = std::pow(1.0 - 1.0 / color_capacity, directed);
   const double expected_lost = vulnerable * (1.0 - survival);
-  EXPECT_NEAR(cache.interference_evictions(), expected_lost, 1e-9);
-  EXPECT_NEAR(cache.InterferenceOn(2), expected_lost, 1e-9);
   EXPECT_NEAR(cache.Resident(2), 300.0 - expected_lost, 1e-9);
   EXPECT_NEAR(cache.Occupied(), cache.Resident(1) + cache.Resident(2), 1e-9);
 }
 
 TEST(PartitionedCacheTest, RemoveOwnerDropsReservationAndFootprint) {
-  PartitionedCacheModel cache(kCapacity, 2, 4);
+  FootprintCache cache(kCapacity, 2, 4);
   cache.ReserveColors(1, 0x1ull);
   cache.RunChunk(1, TestWs(500.0), 1.0);
   EXPECT_GT(cache.Resident(1), 0.0);

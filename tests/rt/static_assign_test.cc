@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/cache/partitioned.h"
+#include "src/cache/footprint.h"
 
 namespace affsched {
 namespace {

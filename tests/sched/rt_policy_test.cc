@@ -4,7 +4,7 @@
 
 #include <map>
 
-#include "src/cache/partitioned.h"
+#include "src/cache/footprint.h"
 #include "src/sched/factory.h"
 #include "tests/sched/fake_view.h"
 

@@ -186,7 +186,6 @@ std::vector<Scenario> Scenarios() {
                        {MakeSmallMvaProfile(), MakeSmallGravityProfile()}});
 
   MachineConfig colored = flat;
-  colored.cache_model = CacheModelKind::kPartitioned;
   colored.num_colors = 8;
   std::vector<AppProfile> rt_jobs = {MakeSmallMvaProfile(), MakeSmallMatrixProfile(),
                                      MakeSmallGravityProfile()};
