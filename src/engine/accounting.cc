@@ -227,9 +227,6 @@ void Accounting::ChargeChunk(JobState& js, SimDuration work_done, SimDuration re
 
 void Accounting::ChargeReloadTiers(JobState& js, SimDuration reload_llc,
                                    SimDuration reload_remote) {
-  if (reload_llc == 0 && reload_remote == 0) {
-    return;
-  }
   JobStats& st = js.job->stats();
   st.reload_llc_s += ToSeconds(reload_llc);
   st.reload_remote_s += ToSeconds(reload_remote);

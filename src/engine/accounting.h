@@ -68,7 +68,7 @@ class Accounting {
   // One chunk of useful execution: work and the stall split.
   void ChargeChunk(JobState& js, SimDuration work_done, SimDuration reload_stall,
                    SimDuration steady_stall);
-  // Reload-cost attribution for one chunk on a hierarchical topology: the
+  // Reload-cost attribution for one chunk with LLC hits or remote fills: the
   // spans of reload stall served by the cluster LLC / remote memory. Charged
   // at chunk start (chunks always run to completion, so the totals match).
   void ChargeReloadTiers(JobState& js, SimDuration reload_llc, SimDuration reload_remote);

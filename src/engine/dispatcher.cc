@@ -115,24 +115,14 @@ void Dispatcher::StartChunk(size_t proc) {
       core_.machine.ExecuteChunk(core_.queue.now(), proc, w.id, ws, work, core_.TakeOwed(w));
   js.invalidation_debt += ws.shared_write_per_s * ToSeconds(work);
   w.settled_debt = js.invalidation_debt;
-  SimDuration reload_stall = 0;
-  SimDuration steady_stall = 0;
-  if (exec.tiered) {
-    // Hierarchical topologies price the split at the machine (per-source
-    // costs differ), so use it directly. The tier attribution is charged
-    // now rather than carried in the completion event: chunks always run to
-    // completion, so the job's totals are identical either way.
-    reload_stall = exec.reload_stall;
-    steady_stall = exec.steady_stall;
+  // The tier attribution is charged now rather than carried in the
+  // completion event: chunks always run to completion, so the job's totals
+  // are identical either way.
+  if (exec.reload_llc != 0 || exec.reload_remote != 0) {
     acct_.ChargeReloadTiers(js, exec.reload_llc, exec.reload_remote);
-  } else {
-    const double total_misses = exec.reload_misses + exec.steady_misses;
-    if (total_misses > 0.0) {
-      reload_stall = static_cast<SimDuration>(static_cast<double>(exec.stall) *
-                                              (exec.reload_misses / total_misses));
-      steady_stall = exec.stall - reload_stall;
-    }
   }
+  const SimDuration reload_stall = exec.reload_stall;
+  const SimDuration steady_stall = exec.steady_stall;
   core_.queue.ScheduleAfter(exec.wall,
                             [this, proc, work, reload_stall, steady_stall] {
                               OnChunkDone(proc, work, reload_stall, steady_stall);

@@ -107,5 +107,54 @@ TEST(MachineTest, HeavyTrafficInflatesStalls) {
   EXPECT_GT(contended.stall, uncontended.stall);
 }
 
+// A flat machine splits the stall by miss count: the reload share is the
+// parent formula's, stall x reload / total, to the nanosecond, and no reload
+// is charged to a tier.
+TEST(MachineTest, FlatChunkSplitsStallByMissCount) {
+  MachineConfig config;
+  Machine machine(config);
+  const WorkingSetParams ws{.blocks = 1500.0, .buildup_tau_s = 0.004,
+                            .steady_miss_per_s = 20000.0};
+  const auto exec = machine.ExecuteChunk(0, 0, 1, ws, Milliseconds(3));
+  const double total = exec.reload_misses + exec.steady_misses;
+  ASSERT_GT(exec.reload_misses, 0.0);
+  ASSERT_GT(exec.steady_misses, 0.0);
+  EXPECT_EQ(exec.stall, Seconds(total * config.MissServiceSeconds()));
+  EXPECT_EQ(exec.reload_stall, static_cast<SimDuration>(static_cast<double>(exec.stall) *
+                                                        (exec.reload_misses / total)));
+  EXPECT_EQ(exec.steady_stall, exec.stall - exec.reload_stall);
+  EXPECT_EQ(exec.reload_llc, 0);
+  EXPECT_EQ(exec.reload_remote, 0);
+}
+
+// On cmp-2x10 a task migrating within its cluster refills from the LLC, and
+// each such reload costs llc_hit_factor of a local fill.
+TEST(MachineTest, LlcServedReloadCostsTheHitFactorOfALocalFill) {
+  MachineConfig config;
+  config.topology = CmpTopology();
+  const WorkingSetParams ws{.blocks = 2000.0, .buildup_tau_s = 0.05};
+  const SimDuration chunk = Milliseconds(20);
+
+  // A cold first chunk fills from local memory.
+  Machine cold(config);
+  const auto local = cold.ExecuteChunk(0, 0, 1, ws, chunk);
+  ASSERT_GT(local.reload_misses, 0.0);
+  EXPECT_EQ(local.reload_llc, 0);
+  EXPECT_EQ(local.reload_stall, local.stall);
+
+  // The same chunk on a cluster-mate, long after the bus went quiet, finds
+  // the whole footprint in the shared LLC.
+  Machine warm(config);
+  warm.ExecuteChunk(0, 0, 1, ws, chunk);
+  const auto migrated = warm.ExecuteChunk(Seconds(100), 1, 1, ws, chunk);
+  ASSERT_EQ(migrated.reload_misses, local.reload_misses);
+  const double factor = config.topology.llc_hit_factor;
+  EXPECT_NEAR(static_cast<double>(migrated.reload_stall),
+              factor * static_cast<double>(local.reload_stall), 1.0);
+  EXPECT_GT(migrated.reload_llc, 0);
+  EXPECT_LE(migrated.reload_llc, migrated.reload_stall);
+  EXPECT_EQ(migrated.reload_remote, 0);
+}
+
 }  // namespace
 }  // namespace affsched
