@@ -43,7 +43,6 @@ class JsonValue {
   bool IsArray() const { return kind == Kind::kArray; }
   bool IsString() const { return kind == Kind::kString; }
   bool IsNumber() const { return kind == Kind::kNumber; }
-  bool IsBool() const { return kind == Kind::kBool; }
 
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* Get(const std::string& key) const;

@@ -66,7 +66,6 @@ class ValueHistogram {
   size_t Count() const { return count_; }
   double Min() const;
   double Max() const;
-  double Sum() const { return sum_; }
   double Mean() const;
 
   // Quantile estimate for q in [0, 1]: mass-interpolated within the bucket

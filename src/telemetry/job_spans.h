@@ -41,13 +41,6 @@ struct JobLifecycle {
   // Individual moves, capped at kMaxRecordedMigrations per job so dispatch-
   // heavy runs stay bounded; the per-tier counters above are always exact.
   std::vector<JobMigration> migrations;
-
-  double QueueWaitSeconds() const {
-    return arrival >= 0 && queued_since >= 0 ? ToSeconds(arrival - queued_since) : 0.0;
-  }
-  double DispatchLatencySeconds() const {
-    return first_dispatch >= 0 && arrival >= 0 ? ToSeconds(first_dispatch - arrival) : 0.0;
-  }
 };
 
 // Receives lifecycle notifications from Accounting. Attach with

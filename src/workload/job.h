@@ -93,11 +93,6 @@ struct JobStats {
   double tardiness_s = 0.0;
   double worst_reload_s = 0.0;
 
-  uint64_t TotalMigrations() const {
-    return migrations_same_core + migrations_same_cluster + migrations_same_node +
-           migrations_cross_node;
-  }
-
   uint64_t TotalSteals() const {
     return steals_same_cluster + steals_same_node + steals_cross_node;
   }
