@@ -2,8 +2,10 @@
 // topologies.
 //
 // Each processor keeps its private footprint cache (the same analytic model
-// the flat machine runs), but reload misses are further classified by where
-// the missing blocks can be sourced:
+// the flat machine runs, uncolored: Validate rejects page colors on a
+// hierarchy), but reload misses are further classified by where the missing
+// blocks can be sourced, and Machine::ExecuteChunk weighs each class by its
+// cost:
 //
 //   * blocks still resident in the processor's cluster-shared LLC are LLC
 //     hits — a task migrating within its cluster rebuilds its private cache
