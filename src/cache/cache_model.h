@@ -1,25 +1,23 @@
-// CacheModel: the seam between the simulated machine and its per-processor
-// cache substrate.
+// CacheModel: the contract a cache substrate meets.
 //
-// The scheduling experiments only ever talk to a cache through this
-// interface: run a chunk of useful execution and report reload vs.
-// steady-state misses, query/erode a task's resident footprint, and model
-// thread turnover. Two interchangeable implementations exist:
+// A cache runs a chunk of useful execution and reports reload vs.
+// steady-state misses, answers and erodes a task's resident footprint, and
+// models thread turnover. Two implementations meet it:
 //
-//   * FootprintCache (footprint.h) — the analytic working-set model the
-//     paper-scale experiments run on (closed-form buildup/ejection, O(#owners)
-//     per chunk, where #owners counts the owners resident in this one cache:
-//     two or three on the paper's grids), optionally divided into page
-//     colors (MachineConfig::num_colors, the rt workloads);
+//   * FootprintCache (footprint.h) — the analytic working-set model every
+//     simulation runs on (closed-form buildup/ejection, O(#owners) per
+//     chunk, where #owners counts the owners resident in this one cache: two
+//     or three on the paper's grids), optionally divided into page colors
+//     (MachineConfig::num_colors, the rt workloads). The Machine holds one
+//     per processor, and one per cluster as the shared LLC of a
+//     hierarchical topology;
 //   * ExactCacheModel (exact_model.h) — the exact per-line set-associative
-//     simulation driven by synthetic reference streams, used to validate the
-//     analytic model end-to-end on the same machine plumbing.
+//     simulation driven by synthetic reference streams: the reference the
+//     analytic model is validated against, cache for cache.
 //
-// MachineConfig::cache_model selects the implementation per run. On a
-// hierarchical topology each processor's FootprintCache sits under a
-// HierarchicalCacheModel (src/topology/hier_cache.h), which also classifies
-// reload misses by source. A cache only counts misses: Machine::ExecuteChunk
-// prices them, with one formula for every machine shape.
+// A cache only counts misses: Machine::ExecuteChunk decides where a reload
+// miss is served from and prices it, with one formula for every machine
+// shape.
 
 #ifndef SRC_CACHE_CACHE_MODEL_H_
 #define SRC_CACHE_CACHE_MODEL_H_
@@ -54,14 +52,6 @@ struct WorkingSetParams {
 struct CacheChunkResult {
   double reload_misses = 0.0;
   double steady_misses = 0.0;
-  // Hierarchical topologies further classify the reload misses by source
-  // (src/topology/hier_cache.h); flat models leave both at zero.
-  //   * reload_llc_hits: served by the cluster-shared LLC (cheap refill)
-  //   * reload_remote: fetched across the node interconnect (costly refill)
-  // Invariant: reload_llc_hits + reload_remote <= reload_misses; the
-  // remainder fills from local memory at the flat machine's cost.
-  double reload_llc_hits = 0.0;
-  double reload_remote = 0.0;
   double TotalMisses() const { return reload_misses + steady_misses; }
 };
 
@@ -124,9 +114,6 @@ class CacheModel {
   // Invalidates the entire cache (the Section 4 "migrating" treatment).
   virtual void Flush() = 0;
 
-  // Removes `fraction` (in [0,1]) of `owner`'s footprint.
-  virtual void EjectFraction(CacheOwner owner, double fraction) = 0;
-
   // Removes up to `blocks` of `owner`'s footprint (the coherence
   // invalidations its siblings' shared writes caused) and returns the amount
   // removed, min(blocks, Resident(owner)), so no Resident query precedes it.
@@ -136,9 +123,6 @@ class CacheModel {
   // `keep_fraction` of the worker's current data; the rest is dead and its
   // lines are released.
   virtual void ReplaceOwnerData(CacheOwner owner, double keep_fraction) = 0;
-
-  // Removes all state for `owner` (task exit).
-  virtual void RemoveOwner(CacheOwner owner) = 0;
 };
 
 }  // namespace affsched

@@ -123,12 +123,6 @@ void ExactCacheModel::InvalidateSome(CacheOwner owner, size_t target) {
   }
 }
 
-void ExactCacheModel::EjectFraction(CacheOwner owner, double fraction) {
-  AFF_CHECK(fraction >= 0.0 && fraction <= 1.0);
-  const double resident = Resident(owner);
-  InvalidateSome(owner, static_cast<size_t>(std::llround(resident * fraction)));
-}
-
 double ExactCacheModel::EjectBlocks(CacheOwner owner, double blocks) {
   AFF_CHECK(blocks >= 0.0);
   // The lines invalidated are the nearest whole number; the amount reported
@@ -155,11 +149,6 @@ void ExactCacheModel::ReplaceOwnerData(CacheOwner owner, double keep_fraction) {
       cache_.InvalidateBlock(owner, block);
     }
   }
-}
-
-void ExactCacheModel::RemoveOwner(CacheOwner owner) {
-  cache_.InvalidateOwner(owner);
-  owners_.erase(owner);
 }
 
 }  // namespace affsched

@@ -15,9 +15,9 @@
 // Reference streams are per owner, seeded deterministically from the model
 // seed and the owner id, so trajectories are reproducible regardless of the
 // order owners first appear. This model is orders of magnitude slower than
-// FootprintCache; it exists so scheduling experiments can be cross-checked
-// on the exact substrate (tests/cache/cache_model_test.cc, and
-// MachineConfig::cache_model = CacheModelKind::kExact).
+// FootprintCache. It is not a machine substrate: it is the reference the
+// analytic model is checked against one cache at a time, behind the same
+// CacheModel contract (tests/cache/cache_model_test.cc, coherence_test.cc).
 
 #ifndef SRC_CACHE_EXACT_MODEL_H_
 #define SRC_CACHE_EXACT_MODEL_H_
@@ -42,10 +42,8 @@ class ExactCacheModel final : public CacheModel {
   double capacity() const override;
   double MaxResident(double blocks) const override;
   void Flush() override;
-  void EjectFraction(CacheOwner owner, double fraction) override;
   double EjectBlocks(CacheOwner owner, double blocks) override;
   void ReplaceOwnerData(CacheOwner owner, double keep_fraction) override;
-  void RemoveOwner(CacheOwner owner) override;
 
   const ExactCache& exact_cache() const { return cache_; }
 

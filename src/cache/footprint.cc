@@ -126,11 +126,6 @@ CacheChunkResult FootprintCache::RunChunk(CacheOwner owner, const WorkingSetPara
 
 void FootprintCache::Flush() { resident_.Clear(); }
 
-void FootprintCache::EjectFraction(CacheOwner owner, double fraction) {
-  AFF_CHECK(fraction >= 0.0 && fraction <= 1.0);
-  resident_.Set(owner, Resident(owner) * (1.0 - fraction));
-}
-
 double FootprintCache::EjectBlocks(CacheOwner owner, double blocks) {
   AFF_CHECK(blocks >= 0.0);
   return resident_.Eject(owner, blocks);
@@ -139,13 +134,6 @@ double FootprintCache::EjectBlocks(CacheOwner owner, double blocks) {
 void FootprintCache::ReplaceOwnerData(CacheOwner owner, double keep_fraction) {
   AFF_CHECK(keep_fraction >= 0.0 && keep_fraction <= 1.0);
   resident_.Set(owner, Resident(owner) * keep_fraction);
-}
-
-void FootprintCache::RemoveOwner(CacheOwner owner) {
-  resident_.Set(owner, 0.0);
-  if (owner < reserved_.size()) {
-    reserved_[owner] = FullColorMask(num_colors_);
-  }
 }
 
 }  // namespace affsched

@@ -108,26 +108,20 @@ class FootprintCache final : public CacheModel {
   // Capacity of a reservation, in blocks.
   double ReservedCapacity(ColorMask mask) const;
 
-  // The rest of the CacheModel interface, documented there. RemoveOwner also
-  // returns the owner's reservation to every color.
+  // The rest of the CacheModel interface, documented there.
   CacheChunkResult RunChunk(CacheOwner owner, const WorkingSetParams& ws,
                             double seconds) override;
   double Resident(CacheOwner owner) const override;
   double Occupied() const override { return resident_.occupied(); }
   double capacity() const override { return capacity_; }
   void Flush() override;
-  void EjectFraction(CacheOwner owner, double fraction) override;
   double EjectBlocks(CacheOwner owner, double blocks) override;
   void ReplaceOwnerData(CacheOwner owner, double keep_fraction) override;
-  void RemoveOwner(CacheOwner owner) override;
 
   // Test hook: force a resident footprint.
   void SetResident(CacheOwner owner, double blocks);
 
  private:
-  // At most 136 bytes, which glibc serves from 144-byte fastbin chunks. A
-  // cache is allocated per processor per cell, and a 160-byte cache raised
-  // open-stream's peak RSS by 0.3 MB.
   double capacity_;
   uint32_t ways_;
   uint32_t num_colors_;

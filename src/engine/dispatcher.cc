@@ -156,7 +156,7 @@ void Dispatcher::OnChunkDone(size_t proc, SimDuration work_done, SimDuration rel
     newly_ready = js.job->CompleteThread(node);
     // The next thread reuses part of what the siblings left of the footprint.
     core_.machine.Invalidate(core_.queue.now(), proc, w.id, core_.TakeOwed(w));
-    core_.machine.processor(proc).cache().ReplaceOwnerData(w.id, js.profile->thread_overlap);
+    core_.machine.ReplaceOwnerData(proc, w.id, js.profile->thread_overlap);
   }
 
   if (ps.pending_valid) {

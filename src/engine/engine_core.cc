@@ -58,7 +58,7 @@ CacheOwner EngineCore::CreateWorker(JobId id) {
   if (machine.config().num_colors > 0) {
     const uint64_t mask = job_state(id).color_mask;
     for (size_t p = 0; p < machine.num_processors(); ++p) {
-      static_cast<FootprintCache&>(machine.processor(p).cache()).ReserveColors(wid, mask);
+      machine.processor(p).cache().ReserveColors(wid, mask);
     }
   }
   return wid;

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/cache/exact_model.h"
-#include "src/cache/footprint.h"
 #include "src/common/check.h"
-#include "src/common/rng.h"
 
 namespace affsched {
 
@@ -32,48 +29,14 @@ std::string MachineConfig::Validate() const {
   if (!(cache_size_factor >= kMinFactor && cache_size_factor <= kMaxFactor)) {
     return "cache_size_factor must be in [2^-10, 2^10]";
   }
-  if (!topology.IsFlat() && cache_model != CacheModelKind::kFootprint) {
-    return "hierarchical topologies require the footprint cache model "
-           "(the exact per-line model has no LLC tier)";
-  }
   if (num_colors > 64) {
     return "colors must be in 0..64";
   }
-  if (num_colors > 0 && (cache_model != CacheModelKind::kFootprint || !topology.IsFlat())) {
-    return "colors needs the footprint cache model on a flat topology";
+  if (num_colors > 0 && !topology.IsFlat()) {
+    return "colors needs a flat topology";
   }
   return topology.Validate(num_processors);
 }
-
-namespace {
-
-std::unique_ptr<CacheModel> BuildCacheModel(const MachineConfig& config, size_t proc,
-                                            const Topology& topology,
-                                            TopologyCacheState* topo_state) {
-  switch (config.cache_model) {
-    case CacheModelKind::kFootprint:
-      if (topo_state != nullptr) {
-        return std::make_unique<HierarchicalCacheModel>(
-            config.CapacityBlocks(), config.geometry.ways, topology, topo_state, proc);
-      }
-      return std::make_unique<FootprintCache>(config.CapacityBlocks(), config.geometry.ways,
-                                              std::max<size_t>(1, config.num_colors));
-    case CacheModelKind::kExact: {
-      // The exact model's capacity is set by its geometry, so the future-
-      // machine cache-size factor scales the byte size directly.
-      CacheGeometry geometry = config.geometry;
-      geometry.total_bytes = static_cast<size_t>(
-          static_cast<double>(geometry.total_bytes) * config.cache_size_factor);
-      // Per-processor stream seed, derived so processors are decorrelated.
-      uint64_t state = config.cache_model_seed + proc;
-      return std::make_unique<ExactCacheModel>(geometry, SplitMix64(state));
-    }
-  }
-  AFF_CHECK_MSG(false, "unknown cache model kind");
-  return nullptr;
-}
-
-}  // namespace
 
 Machine::Machine(const MachineConfig& config)
     : config_(config),
@@ -82,15 +45,16 @@ Machine::Machine(const MachineConfig& config)
       bus_(config.bus) {
   const std::string problem = config_.Validate();
   AFF_CHECK_MSG(problem.empty(), problem.c_str());
-  if (!config_.topology.IsFlat()) {
-    topo_state_ = std::make_unique<TopologyCacheState>(
-        topology_, config_.topology.LlcCapacityBlocks(config_.geometry.line_bytes),
-        config_.topology.llc_ways);
-  }
   processors_.reserve(config_.num_processors);
   for (size_t i = 0; i < config_.num_processors; ++i) {
-    processors_.emplace_back(i, BuildCacheModel(config_, i, topology_, topo_state_.get()),
+    processors_.emplace_back(FootprintCache(config_.CapacityBlocks(), config_.geometry.ways,
+                                            std::max<size_t>(1, config_.num_colors)),
                              config_.task_history_depth);
+  }
+  if (config_.topology.llc_kb > 0) {
+    llcs_.assign(topology_.num_clusters(),
+                 FootprintCache(config_.topology.LlcCapacityBlocks(config_.geometry.line_bytes),
+                                config_.topology.llc_ways));
   }
 }
 
@@ -104,20 +68,52 @@ const Processor& Machine::processor(size_t i) const {
   return processors_[i];
 }
 
+const FootprintCache& Machine::llc(size_t cluster) const {
+  AFF_CHECK(cluster < llcs_.size());
+  return llcs_[cluster];
+}
+
+double Machine::Eject(size_t proc, CacheOwner owner, double blocks) {
+  const double removed = processor(proc).cache().EjectBlocks(owner, blocks);
+  if (FootprintCache* llc = LlcOf(proc)) {
+    llc->EjectBlocks(owner, removed);
+  }
+  return removed;
+}
+
 Machine::ChunkExecution Machine::ExecuteChunk(SimTime now, size_t proc, CacheOwner owner,
                                               const WorkingSetParams& ws, SimDuration work,
                                               double owed) {
   AFF_CHECK(work >= 0);
-  Processor& p = processor(proc);
   // EjectBlocks rejects a negative amount.
-  const double invalidations = owed != 0.0 ? p.cache().EjectBlocks(owner, owed) : 0.0;
+  const double invalidations = owed != 0.0 ? Eject(proc, owner, owed) : 0.0;
   // Footprint evolution is driven by the *work* performed (same blocks get
   // touched for the same amount of computation regardless of clock rate).
-  const CacheChunkResult misses = p.cache().RunChunk(owner, ws, ToSeconds(work));
+  const double seconds = ToSeconds(work);
+  const CacheChunkResult misses = processor(proc).cache().RunChunk(owner, ws, seconds);
+
+  // The reloads' sources (machine.h). A flat machine has neither an LLC nor
+  // a second node, so both stay zero.
+  double llc_hits = 0.0;
+  double remote = 0.0;
+  if (FootprintCache* llc = LlcOf(proc)) {
+    if (misses.reload_misses > 0.0) {
+      llc_hits = std::min(misses.reload_misses, llc->Resident(owner));
+    }
+    llc->RunChunk(owner, ws, seconds);
+  }
+  if (topology_.num_nodes() > 1) {
+    const size_t node = topology_.NodeOf(proc);
+    if (owner >= last_node_.size()) {
+      last_node_.resize(owner + 1, kNoNode);
+    }
+    const size_t last = std::exchange(last_node_[owner], node);
+    if (misses.reload_misses > 0.0 && last != kNoNode && last != node) {
+      remote = misses.reload_misses - llc_hits;
+    }
+  }
 
   const double inflation = bus_.InflationFactor(now);
-  const double llc_hits = misses.reload_llc_hits;
-  const double remote = misses.reload_remote;
   // LLC hits stay off the shared bus: they are cluster-local traffic.
   bus_.RecordTraffic(now, misses.TotalMisses() - llc_hits + invalidations);
   ChunkExecution exec;
@@ -147,7 +143,14 @@ Machine::ChunkExecution Machine::ExecuteChunk(SimTime now, size_t proc, CacheOwn
 
 void Machine::Invalidate(SimTime now, size_t proc, CacheOwner owner, double blocks) {
   if (blocks != 0.0) {
-    bus_.RecordTraffic(now, processor(proc).cache().EjectBlocks(owner, blocks));
+    bus_.RecordTraffic(now, Eject(proc, owner, blocks));
+  }
+}
+
+void Machine::ReplaceOwnerData(size_t proc, CacheOwner owner, double keep_fraction) {
+  processor(proc).cache().ReplaceOwnerData(owner, keep_fraction);
+  if (FootprintCache* llc = LlcOf(proc)) {
+    llc->ReplaceOwnerData(owner, keep_fraction);
   }
 }
 

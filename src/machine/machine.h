@@ -1,5 +1,7 @@
 // The simulated multiprocessor: processors with private footprint caches, a
-// shared bus, and machine-wide configuration.
+// shared bus, and machine-wide configuration. On a hierarchical topology the
+// machine also owns one shared LLC per cluster and the directory of the node
+// each task last ran on, and decides where each reload miss is served from.
 //
 // Defaults model the paper's Sequent Symmetry Model B (20 processors, 64 KB
 // 2-way caches, 0.75 us per block fill, 750 us reallocation path length).
@@ -13,16 +15,15 @@
 #define SRC_MACHINE_MACHINE_H_
 
 #include <cmath>
-#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cache/bus.h"
-#include "src/cache/cache_model.h"
+#include "src/cache/footprint.h"
 #include "src/cache/geometry.h"
 #include "src/common/recency_list.h"
-#include "src/topology/hier_cache.h"
 #include "src/topology/topology.h"
 
 namespace affsched {
@@ -32,28 +33,18 @@ namespace affsched {
 // that per-processor state cannot exhaust memory.
 inline constexpr size_t kMaxProcessors = 4096;
 
-// Which CacheModel implementation each processor's private cache uses.
-enum class CacheModelKind {
-  kFootprint,  // analytic working-set model (the experiments' default)
-  kExact,      // per-line set-associative simulation driven by refstreams
-};
-
 struct MachineConfig {
   size_t num_processors = 20;
   // Depth of the per-processor task history (T of Section 5.3).
   size_t task_history_depth = 1;
   CacheGeometry geometry;
-  CacheModelKind cache_model = CacheModelKind::kFootprint;
-  // Seeds the exact model's per-owner reference streams (unused by the
-  // analytic model).
-  uint64_t cache_model_seed = 0;
   // Uncontended per-block miss service time on the base machine.
   SimDuration miss_service = kSymmetryMissService;
   // Kernel path-length cost of a reallocation on the base machine.
   SimDuration switch_cost = kSymmetrySwitchCost;
   // Number of page colors each private footprint cache is divided into
   // (1..64) on a colored machine (the rt workloads); 0, the default, leaves
-  // the caches uncolored. Colors need the flat footprint model (Validate).
+  // the caches uncolored. Colors need a flat topology (Validate).
   size_t num_colors = 0;
   // Speed of this machine's processors relative to the base Symmetry, in
   // [2^-10, 2^10] (Validate): far outside it, scaled durations leave the
@@ -95,16 +86,11 @@ struct MachineConfig {
 // and notes deeper histories as a variation).
 class Processor {
  public:
-  Processor(size_t id, std::unique_ptr<CacheModel> cache, size_t history_depth = 1)
-      : id_(id), history_depth_(history_depth), cache_(std::move(cache)) {}
+  explicit Processor(FootprintCache cache, size_t history_depth = 1)
+      : history_depth_(history_depth), cache_(std::move(cache)) {}
 
-  size_t id() const { return id_; }
-  CacheModel& cache() { return *cache_; }
-  const CacheModel& cache() const { return *cache_; }
-
-  // Task currently dispatched here (kNoOwner when idle).
-  CacheOwner current_task() const { return current_task_; }
-  void SetCurrentTask(CacheOwner task) { current_task_ = task; }
+  FootprintCache& cache() { return cache_; }
+  const FootprintCache& cache() const { return cache_; }
 
   // History: the last task to have run on this processor.
   CacheOwner last_task() const { return history_.MostRecent(kNoOwner); }
@@ -113,16 +99,11 @@ class Processor {
   std::span<const CacheOwner> recent_tasks() const { return history_.items(); }
 
   // Re-dispatching a remembered task moves it to the front.
-  void RecordDispatch(CacheOwner task) {
-    current_task_ = task;
-    history_.Record(task, history_depth_);
-  }
+  void RecordDispatch(CacheOwner task) { history_.Record(task, history_depth_); }
 
  private:
-  size_t id_;
   size_t history_depth_;
-  std::unique_ptr<CacheModel> cache_;
-  CacheOwner current_task_ = kNoOwner;
+  FootprintCache cache_;
   RecencyList<CacheOwner> history_;
 };
 
@@ -136,6 +117,9 @@ class Machine {
   const Processor& processor(size_t i) const;
   SharedBus& bus() { return bus_; }
   const Topology& topology() const { return topology_; }
+
+  // The shared LLC of `cluster`; the topology must have an LLC tier.
+  const FootprintCache& llc(size_t cluster) const;
 
   struct ChunkExecution {
     SimDuration wall = 0;        // total wall time including miss stalls
@@ -156,6 +140,14 @@ class Machine {
   // its siblings' shared writes (the Symmetry's invalidation-based protocol,
   // settled lazily by the engine), charged to the bus with the chunk's misses.
   //
+  // On a hierarchical topology each reload miss has a source. Blocks of the
+  // owner's footprint that `proc`'s cluster LLC still holds refill from
+  // there (LLC hits); when the owner last ran on another node, the reloads
+  // the LLC cannot serve cross the interconnect from that node's memory
+  // (remote fills); the rest fill from local memory. The chunk then evolves
+  // the owner's LLC footprint as it does the private one, and the owner's
+  // node is recorded.
+  //
   // One formula prices every chunk. A reload miss weighs one miss service
   // when it fills from local memory, llc_hit_factor of one when the cluster
   // LLC serves it and remote_multiplier when it crosses the interconnect; a
@@ -167,19 +159,42 @@ class Machine {
                               const WorkingSetParams& ws, SimDuration work, double owed = 0.0);
 
   // Settles invalidations outside a chunk: removes up to `blocks` of
-  // `owner`'s footprint from `proc`'s cache and charges them to the bus.
+  // `owner`'s footprint from `proc`'s cache, and as much from its LLC copy,
+  // and charges them to the bus.
   void Invalidate(SimTime now, size_t proc, CacheOwner owner, double blocks);
 
+  // Thread turnover on `proc` (CacheModel::ReplaceOwnerData): `owner`'s next
+  // thread reuses only `keep_fraction` of its data, in the private cache and
+  // in the cluster LLC alike.
+  void ReplaceOwnerData(size_t proc, CacheOwner owner, double keep_fraction);
+
  private:
+  static constexpr size_t kNoNode = static_cast<size_t>(-1);
+
+  // `proc`'s cluster LLC, or nullptr when the topology has no LLC tier.
+  FootprintCache* LlcOf(size_t proc) {
+    return llcs_.empty() ? nullptr : &llcs_[topology_.ClusterOf(proc)];
+  }
+
+  // Removes up to `blocks` of `owner`'s footprint from `proc`'s cache and
+  // returns the amount removed. An invalidation removes a line machine-wide,
+  // so the LLC copy loses that same amount.
+  double Eject(size_t proc, CacheOwner owner, double blocks);
+
   MachineConfig config_;
   // config_.MissServiceSeconds(), taken once: it costs a square root and two
   // divisions, and every chunk reads it.
   double miss_service_s_;
   Topology topology_;
-  // Shared LLC + last-node directory; non-null only for hierarchical
-  // topologies (flat machines build plain FootprintCaches).
-  std::unique_ptr<TopologyCacheState> topo_state_;
   std::vector<Processor> processors_;
+  // One LLC per cluster, shared by its processors and counted in the same
+  // working-set blocks, so a task's footprint can outlive its private copy.
+  // Empty when the topology has no LLC tier.
+  std::vector<FootprintCache> llcs_;
+  // Indexed by owner id (worker ids are dense from 1): the node each owner
+  // last ran on, kNoNode past the end. Kept only on machines of several
+  // nodes, the only ones with remote fills.
+  std::vector<size_t> last_node_;
   SharedBus bus_;
 };
 

@@ -46,7 +46,7 @@ class SequentialProgram {
       for (size_t n : graph_->Complete(current_node_)) {
         ready_.push_back(n);
       }
-      machine.processor(0).cache().ReplaceOwnerData(owner_, profile_.thread_overlap);
+      machine.ReplaceOwnerData(0, owner_, profile_.thread_overlap);
       if (!ready_.empty()) {
         current_node_ = ready_.front();
         ready_.pop_front();

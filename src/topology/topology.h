@@ -6,13 +6,17 @@
 // last-level caches, NUMA nodes behind an interconnect — and the reload
 // transient depends on *where* the task lands. This module describes that
 // hierarchy (core -> cluster -> node -> machine) and derives the
-// processor-pair distance-tier matrix the cache model, the accounting layer
-// and the distance-aware policies all consult:
+// processor-pair distance-tier matrix the accounting layer and the
+// distance-aware policies consult:
 //
 //   tier 0  same processor      private cache still warm (paper's P^A)
 //   tier 1  same cluster        L1 cold, cluster LLC warm (partial reuse)
 //   tier 2  same node           LLC cold, fills from local memory (P^NA)
 //   tier 3  cross node          fills cross the interconnect (P^NA x remote)
+//
+// The Machine (src/machine) builds the hierarchy's caches from the same
+// description: one shared LLC per cluster, and a directory of the node each
+// task last ran on, from which it decides where each reload miss is served.
 //
 // The `symmetry-flat` preset describes the paper's machine: one cluster, one
 // node, no LLC. Running under it is byte-identical to a machine built with
@@ -45,7 +49,9 @@ struct TopologySpec {
   size_t clusters_per_node = 0;
   // Capacity of the cluster-shared last-level cache (0 disables the LLC tier).
   size_t llc_kb = 0;
-  // LLC line size and associativity (only meaningful when llc_kb > 0).
+  // LLC line size and associativity (only meaningful when llc_kb > 0). The
+  // line size is recorded in the spec string but changes no result: the
+  // Machine counts LLC capacity in the private caches' working-set blocks.
   size_t llc_line_bytes = 64;
   size_t llc_ways = 8;
   // Fill cost of a block found in the cluster LLC, relative to a full memory

@@ -1,6 +1,6 @@
-// Tests for the CacheModel seam: both implementations must satisfy the same
-// behavioural contract (buildup, warmth, ejection, turnover, removal), and
-// the machine must run end-to-end on either substrate.
+// Tests for the CacheModel contract: both implementations must satisfy the
+// same behaviour (buildup, warmth, ejection, turnover), and the exact model
+// must agree with the analytic one on its magnitudes.
 
 #include "src/cache/cache_model.h"
 
@@ -11,9 +11,6 @@
 
 #include "src/cache/exact_model.h"
 #include "src/cache/footprint.h"
-#include "src/machine/machine.h"
-#include "src/topology/hier_cache.h"
-#include "src/topology/topology.h"
 
 namespace affsched {
 namespace {
@@ -82,15 +79,6 @@ TEST_P(CacheModelContractTest, EjectBlocksRemovesRequestedAmount) {
   EXPECT_NEAR(model->Resident(1), before - 100.0, 1.0);
 }
 
-TEST_P(CacheModelContractTest, EjectFractionScalesResident) {
-  auto model = MakeModel(GetParam());
-  const WorkingSetParams ws = TestWorkingSet();
-  model->RunChunk(1, ws, 0.2);
-  const double before = model->Resident(1);
-  model->EjectFraction(1, 0.5);
-  EXPECT_NEAR(model->Resident(1), before * 0.5, 2.0);
-}
-
 TEST_P(CacheModelContractTest, ReplaceOwnerDataDropsDeadData) {
   auto model = MakeModel(GetParam());
   WorkingSetParams ws = TestWorkingSet();
@@ -99,16 +87,6 @@ TEST_P(CacheModelContractTest, ReplaceOwnerDataDropsDeadData) {
   const double before = model->Resident(1);
   model->ReplaceOwnerData(1, 0.25);
   EXPECT_NEAR(model->Resident(1), before * 0.25, 0.1 * before);
-}
-
-TEST_P(CacheModelContractTest, RemoveOwnerClearsState) {
-  auto model = MakeModel(GetParam());
-  const WorkingSetParams ws = TestWorkingSet();
-  model->RunChunk(1, ws, 0.2);
-  model->RunChunk(2, ws, 0.2);
-  model->RemoveOwner(1);
-  EXPECT_DOUBLE_EQ(model->Resident(1), 0.0);
-  EXPECT_GT(model->Resident(2), 0.0);
 }
 
 TEST_P(CacheModelContractTest, MaxResidentMatchesPoissonCap) {
@@ -124,10 +102,12 @@ INSTANTIATE_TEST_SUITE_P(BothModels, CacheModelContractTest, ::testing::Bool(),
                            return param_info.param ? "Exact" : "Footprint";
                          });
 
-// The EjectBlocks return contract, on every substrate behind the seam: the
-// machine adds the returned amount to bus traffic instead of asking Resident
-// first, so each substrate must report exactly min(blocks, resident).
-enum class Substrate { kFootprint, kExact, kPartitioned, kHierarchical };
+// The EjectBlocks return contract, on every substrate: the machine adds the
+// returned amount to bus traffic instead of asking Resident first, so each
+// substrate must report exactly min(blocks, resident). The hierarchical
+// machine's version (the LLC copy loses the same amount) is
+// HierarchicalCacheTest.InvalidateRemovesMinOfRequestAndResident.
+enum class Substrate { kFootprint, kExact, kPartitioned };
 
 class EjectBlocksContractTest : public ::testing::TestWithParam<Substrate> {
  protected:
@@ -143,17 +123,10 @@ class EjectBlocksContractTest : public ::testing::TestWithParam<Substrate> {
         colored->ReserveColors(1, kAllColors);
         return colored;
       }
-      case Substrate::kHierarchical:
-        return std::make_unique<HierarchicalCacheModel>(kCapacityBlocks, 2, topology_,
-                                                        &topo_state_, /*proc=*/0);
     }
     return nullptr;
   }
 
-  Topology topology_{CmpTopology(), 20};
-  TopologyCacheState topo_state_{
-      topology_, CmpTopology().LlcCapacityBlocks(CmpTopology().llc_line_bytes),
-      CmpTopology().llc_ways};
   std::unique_ptr<CacheModel> model_ = MakeSubstrate();
 };
 
@@ -180,7 +153,7 @@ TEST_P(EjectBlocksContractTest, ReturnsMinOfRequestAndResident) {
 
 INSTANTIATE_TEST_SUITE_P(AllSubstrates, EjectBlocksContractTest,
                          ::testing::Values(Substrate::kFootprint, Substrate::kExact,
-                                           Substrate::kPartitioned, Substrate::kHierarchical),
+                                           Substrate::kPartitioned),
                          [](const ::testing::TestParamInfo<Substrate>& param_info) {
                            switch (param_info.param) {
                              case Substrate::kFootprint:
@@ -189,8 +162,6 @@ INSTANTIATE_TEST_SUITE_P(AllSubstrates, EjectBlocksContractTest,
                                return "Exact";
                              case Substrate::kPartitioned:
                                return "Partitioned";
-                             case Substrate::kHierarchical:
-                               return "Hierarchical";
                            }
                            return "Unknown";
                          });
@@ -249,36 +220,14 @@ TEST(ExactCacheModelTest, DeterministicAcrossInstances) {
   EXPECT_DOUBLE_EQ(a.Resident(3), b.Resident(3));
 }
 
-TEST(MachineCacheModelTest, MachineRunsOnExactSubstrate) {
-  MachineConfig config;
-  config.num_processors = 2;
-  config.cache_model = CacheModelKind::kExact;
-  config.cache_model_seed = 99;
-  Machine machine(config);
-  WorkingSetParams ws = TestWorkingSet();
-  const Machine::ChunkExecution exec =
-      machine.ExecuteChunk(0, 0, /*owner=*/1, ws, Milliseconds(100));
-  EXPECT_GT(exec.reload_misses, 0.0);
-  EXPECT_GT(exec.stall, 0);
-  EXPECT_GT(machine.processor(0).cache().Resident(1), 0.0);
-  EXPECT_DOUBLE_EQ(machine.processor(1).cache().Resident(1), 0.0);
-}
-
-TEST(MachineCacheModelTest, SubstratesAgreeOnColdBuildupMagnitude) {
+TEST(CacheModelTest, SubstratesAgreeOnColdBuildupMagnitude) {
   // The analytic model integrates what the exact model simulates; a cold
   // 100 ms chunk (2 tau) should produce reload-miss counts within ~15% of
   // each other.
   WorkingSetParams ws = TestWorkingSet();
   ws.steady_miss_per_s = 0.0;
-  MachineConfig analytic;
-  analytic.num_processors = 1;
-  MachineConfig exact = analytic;
-  exact.cache_model = CacheModelKind::kExact;
-  exact.cache_model_seed = 5;
-  Machine ma(analytic);
-  Machine me(exact);
-  const double ra = ma.ExecuteChunk(0, 0, 1, ws, Milliseconds(100)).reload_misses;
-  const double re = me.ExecuteChunk(0, 0, 1, ws, Milliseconds(100)).reload_misses;
+  const double ra = MakeModel(/*exact=*/false)->RunChunk(1, ws, 0.1).reload_misses;
+  const double re = MakeModel(/*exact=*/true)->RunChunk(1, ws, 0.1).reload_misses;
   EXPECT_NEAR(ra, re, 0.15 * ra);
 }
 

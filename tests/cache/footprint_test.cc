@@ -122,29 +122,11 @@ TEST(FootprintCacheTest, WorkingSetLargerThanCacheClamps) {
   EXPECT_LE(cache.Resident(1), kCapacity + 1e-6);
 }
 
-TEST(FootprintCacheTest, EjectFraction) {
-  FootprintCache cache(kCapacity);
-  cache.SetResident(1, 1000.0);
-  cache.EjectFraction(1, 0.25);
-  EXPECT_DOUBLE_EQ(cache.Resident(1), 750.0);
-  cache.EjectFraction(1, 1.0);
-  EXPECT_DOUBLE_EQ(cache.Resident(1), 0.0);
-}
-
 TEST(FootprintCacheTest, ReplaceOwnerDataKeepsFraction) {
   FootprintCache cache(kCapacity);
   cache.SetResident(1, 1000.0);
   cache.ReplaceOwnerData(1, 0.7);
   EXPECT_DOUBLE_EQ(cache.Resident(1), 700.0);
-}
-
-TEST(FootprintCacheTest, RemoveOwnerFreesSpace) {
-  FootprintCache cache(kCapacity);
-  cache.SetResident(1, 1000.0);
-  cache.SetResident(2, 500.0);
-  cache.RemoveOwner(1);
-  EXPECT_DOUBLE_EQ(cache.Resident(1), 0.0);
-  EXPECT_DOUBLE_EQ(cache.Occupied(), 500.0);
 }
 
 TEST(FootprintCacheTest, ZeroDurationChunkIsFree) {

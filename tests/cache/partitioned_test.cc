@@ -150,16 +150,5 @@ TEST(PartitionedCacheTest, TwoJobSharedColorInterferenceMatchesHandComputation) 
   EXPECT_NEAR(cache.Occupied(), cache.Resident(1) + cache.Resident(2), 1e-9);
 }
 
-TEST(PartitionedCacheTest, RemoveOwnerDropsReservationAndFootprint) {
-  FootprintCache cache(kCapacity, 2, 4);
-  cache.ReserveColors(1, 0x1ull);
-  cache.RunChunk(1, TestWs(500.0), 1.0);
-  EXPECT_GT(cache.Resident(1), 0.0);
-  cache.RemoveOwner(1);
-  EXPECT_DOUBLE_EQ(cache.Resident(1), 0.0);
-  EXPECT_EQ(cache.ReservedColors(1), FullColorMask(4));  // back to default
-  EXPECT_DOUBLE_EQ(cache.Occupied(), 0.0);
-}
-
 }  // namespace
 }  // namespace affsched

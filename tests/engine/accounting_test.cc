@@ -224,7 +224,7 @@ TEST(AccountingTest, LeavingTheRunningSetSettlesTheDebt) {
   JobState& js = h.core.job_state(id);
   const CacheOwner w1 = h.core.CreateWorker(id);
   const CacheOwner w2 = h.core.CreateWorker(id);
-  auto& cache = static_cast<FootprintCache&>(h.core.machine.processor(1).cache());
+  FootprintCache& cache = h.core.machine.processor(1).cache();
   cache.SetResident(w2, 500.0);
 
   js.invalidation_debt = 40.0;  // accrued while neither ran

@@ -230,7 +230,7 @@ TEST(DispatcherTest, ThreadCompletionSettlesBeforeReplacingOwnerData) {
   h.dispatcher.DispatchWorker(0);
   h.dispatcher.DispatchWorker(1);
   const CacheOwner w1 = h.core.procs[0].running;
-  auto& cache = static_cast<FootprintCache&>(h.core.machine.processor(0).cache());
+  FootprintCache& cache = h.core.machine.processor(0).cache();
   cache.SetResident(w1, 600.0);
 
   while (h.core.worker(w1).current.has_value()) {

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "src/cache/footprint.h"
 #include "src/machine/machine.h"
 #include "src/workload/worker.h"
@@ -13,7 +11,7 @@ namespace affsched {
 namespace {
 
 TEST(ProcessorHistoryTest, DepthOneKeepsOnlyMostRecent) {
-  Processor p(0, std::make_unique<FootprintCache>(4096.0, 2), 1);
+  Processor p(FootprintCache(4096.0, 2), 1);
   p.RecordDispatch(10);
   p.RecordDispatch(20);
   EXPECT_EQ(p.last_task(), 20u);
@@ -21,7 +19,7 @@ TEST(ProcessorHistoryTest, DepthOneKeepsOnlyMostRecent) {
 }
 
 TEST(ProcessorHistoryTest, DeeperHistoryRemembersOrder) {
-  Processor p(0, std::make_unique<FootprintCache>(4096.0, 2), 3);
+  Processor p(FootprintCache(4096.0, 2), 3);
   p.RecordDispatch(1);
   p.RecordDispatch(2);
   p.RecordDispatch(3);
@@ -33,7 +31,7 @@ TEST(ProcessorHistoryTest, DeeperHistoryRemembersOrder) {
 }
 
 TEST(ProcessorHistoryTest, RedispatchMovesToFront) {
-  Processor p(0, std::make_unique<FootprintCache>(4096.0, 2), 3);
+  Processor p(FootprintCache(4096.0, 2), 3);
   p.RecordDispatch(1);
   p.RecordDispatch(2);
   p.RecordDispatch(1);
@@ -43,7 +41,7 @@ TEST(ProcessorHistoryTest, RedispatchMovesToFront) {
 }
 
 TEST(ProcessorHistoryTest, EmptyHistoryReportsNoOwner) {
-  Processor p(0, std::make_unique<FootprintCache>(4096.0, 2), 2);
+  Processor p(FootprintCache(4096.0, 2), 2);
   EXPECT_EQ(p.last_task(), kNoOwner);
   EXPECT_TRUE(p.recent_tasks().empty());
 }

@@ -83,9 +83,6 @@ TEST(MachineTest, RecordDispatchUpdatesHistory) {
   EXPECT_EQ(machine.processor(3).last_task(), kNoOwner);
   machine.processor(3).RecordDispatch(42);
   EXPECT_EQ(machine.processor(3).last_task(), 42u);
-  EXPECT_EQ(machine.processor(3).current_task(), 42u);
-  machine.processor(3).SetCurrentTask(kNoOwner);
-  EXPECT_EQ(machine.processor(3).last_task(), 42u);  // history survives idle
 }
 
 TEST(MachineTest, HeavyTrafficInflatesStalls) {

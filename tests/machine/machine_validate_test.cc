@@ -93,12 +93,14 @@ TEST(MachineValidateTest, TopologyProblemsSurfaceThroughMachineValidate) {
   EXPECT_NE(config.Validate().find("llc-factor"), std::string::npos);
 }
 
-TEST(MachineValidateTest, HierarchicalTopologyRequiresFootprintModel) {
+TEST(MachineValidateTest, ColorsNeedAFlatTopology) {
   MachineConfig config;
-  config.topology = CmpTopology();
+  config.num_colors = 8;
   EXPECT_EQ(config.Validate(), "");
-  config.cache_model = CacheModelKind::kExact;
-  EXPECT_NE(config.Validate().find("footprint"), std::string::npos);
+  config.topology = CmpTopology();
+  EXPECT_NE(config.Validate().find("flat topology"), std::string::npos);
+  config.num_colors = 0;
+  EXPECT_EQ(config.Validate(), "");
 }
 
 TEST(MachineValidateTest, ConstructorEnforcesValidation) {

@@ -21,7 +21,6 @@ TEST(RtSweepSpecTest, RtPresetParses) {
   EXPECT_TRUE(spec.rt);
   EXPECT_EQ(spec.deadline_mix, "soft");
   EXPECT_EQ(spec.root_seed, 1000u);
-  EXPECT_EQ(spec.machine.cache_model, CacheModelKind::kFootprint);
   EXPECT_EQ(spec.machine.num_colors, 8u);
   ASSERT_EQ(spec.policies.size(), 3u);
   EXPECT_EQ(spec.policies[0], PolicyKind::kDynAff);
@@ -36,11 +35,9 @@ TEST(RtSweepSpecTest, ColorsKeySelectsThePartitionedSubstrate) {
   SweepSpec spec;
   std::string error;
   ASSERT_TRUE(ParseSweepSpec("smoke;colors=4", &spec, &error)) << error;
-  EXPECT_EQ(spec.machine.cache_model, CacheModelKind::kFootprint);
   EXPECT_EQ(spec.machine.num_colors, 4u);
   // colors=0 restores the uncolored cache.
   ASSERT_TRUE(ParseSweepSpec("smoke;colors=4;colors=0", &spec, &error)) << error;
-  EXPECT_EQ(spec.machine.cache_model, CacheModelKind::kFootprint);
   EXPECT_EQ(spec.machine.num_colors, 0u);
   EXPECT_FALSE(ParseSweepSpec("smoke;colors=65", &spec, &error));
 }
