@@ -3,6 +3,8 @@
 //   simctl --open --out tests/golden/open_smoke_rho700.json
 //          --preset "opensys-smoke;policies=equi,dyn-aff;rhos=0.7;count=12"
 //   simctl --open --preset=opensys-smoke --out tests/golden/open_smoke_default.json
+//   simctl --open --preset='opensys-smoke;mpl-cap=2;max-queue=1'
+//          --out tests/golden/open_smoke_shed.json
 // and justify the diff in review.
 
 #include <fstream>
@@ -66,6 +68,19 @@ TEST(OpenGoldenTest, SmokeDefault) {
   options.jobs = 2;
   const OpenSweepResult result = OpenSweepRunner(options).Run(spec);
   ExpectBytesIdentical(result.ToJson() + "\n", ReadGolden("open_smoke_default.json"));
+}
+
+// An MPL cap of 2 with a one-slot admission queue: every cell admits, queues
+// and rejects arrivals, so this pins all three admission verdicts end to end.
+// The two cases above run only the unbounded rule.
+TEST(OpenGoldenTest, SmokeMplCapShedding) {
+  OpenSweepSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseOpenSweepSpec("opensys-smoke;mpl-cap=2;max-queue=1", &spec, &error)) << error;
+  OpenSweepRunnerOptions options;
+  options.jobs = 2;
+  const OpenSweepResult result = OpenSweepRunner(options).Run(spec);
+  ExpectBytesIdentical(result.ToJson() + "\n", ReadGolden("open_smoke_shed.json"));
 }
 
 }  // namespace
