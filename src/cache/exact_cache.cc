@@ -87,21 +87,6 @@ bool ExactCache::InvalidateBlock(CacheOwner owner, uint64_t block) {
   return true;
 }
 
-size_t ExactCache::InvalidateOwner(CacheOwner owner) {
-  size_t invalidated = 0;
-  for (auto& line : lines_) {
-    if (line.owner == owner) {
-      line = Line{};
-      ++invalidated;
-    }
-  }
-  if (invalidated > 0) {
-    occupied_ -= invalidated;
-    resident_.erase(owner);
-  }
-  return invalidated;
-}
-
 void ExactCache::Flush() {
   std::fill(lines_.begin(), lines_.end(), Line{});
   resident_.clear();

@@ -46,9 +46,6 @@ class ExactCache {
   // invalidation-based coherency protocol). Returns true if it was resident.
   bool InvalidateBlock(CacheOwner owner, uint64_t block);
 
-  // Invalidates every line belonging to `owner`. Returns lines invalidated.
-  size_t InvalidateOwner(CacheOwner owner);
-
   // Invalidates the whole cache.
   void Flush();
 

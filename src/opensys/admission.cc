@@ -1,61 +1,33 @@
 #include "src/opensys/admission.h"
 
-#include <sstream>
-
-#include "src/common/check.h"
-
 namespace affsched {
 
-AdmissionVerdict UnboundedAdmission::OnArrival(size_t /*in_service*/, size_t /*queued*/) {
-  return AdmissionVerdict::kAdmit;
-}
+AdmissionController::AdmissionController(size_t mpl_cap, int64_t max_queue)
+    : mpl_cap_(mpl_cap), max_queue_(max_queue) {}
 
-bool UnboundedAdmission::CanAdmitQueued(size_t /*in_service*/) { return true; }
-
-FixedMplAdmission::FixedMplAdmission(size_t cap) : cap_(cap) {
-  AFF_CHECK_MSG(cap_ > 0, "MPL cap must be positive (use UnboundedAdmission for no cap)");
-}
-
-AdmissionVerdict FixedMplAdmission::OnArrival(size_t in_service, size_t /*queued*/) {
-  return in_service < cap_ ? AdmissionVerdict::kAdmit : AdmissionVerdict::kQueue;
-}
-
-bool FixedMplAdmission::CanAdmitQueued(size_t in_service) { return in_service < cap_; }
-
-std::string FixedMplAdmission::Name() const {
-  std::ostringstream o;
-  o << "mpl-" << cap_;
-  return o.str();
-}
-
-LoadSheddingAdmission::LoadSheddingAdmission(size_t cap, size_t max_queue)
-    : cap_(cap), max_queue_(max_queue) {
-  AFF_CHECK_MSG(cap_ > 0, "MPL cap must be positive");
-}
-
-AdmissionVerdict LoadSheddingAdmission::OnArrival(size_t in_service, size_t queued) {
-  if (in_service < cap_) {
+AdmissionVerdict AdmissionController::OnArrival(size_t in_service, size_t queued) const {
+  if (CanAdmitQueued(in_service)) {
     return AdmissionVerdict::kAdmit;
   }
-  return queued < max_queue_ ? AdmissionVerdict::kQueue : AdmissionVerdict::kReject;
+  return max_queue_ >= 0 && queued >= static_cast<size_t>(max_queue_)
+             ? AdmissionVerdict::kReject
+             : AdmissionVerdict::kQueue;
 }
 
-bool LoadSheddingAdmission::CanAdmitQueued(size_t in_service) { return in_service < cap_; }
+bool AdmissionController::CanAdmitQueued(size_t in_service) const {
+  return mpl_cap_ == 0 || in_service < mpl_cap_;
+}
 
-std::string LoadSheddingAdmission::Name() const {
-  std::ostringstream o;
-  o << "shed-" << cap_ << "-q" << max_queue_;
-  return o.str();
+std::string AdmissionController::Name() const {
+  if (mpl_cap_ == 0) {
+    return "unbounded";
+  }
+  const std::string mpl = std::to_string(mpl_cap_);
+  return max_queue_ < 0 ? "mpl-" + mpl : "shed-" + mpl + "-q" + std::to_string(max_queue_);
 }
 
 std::unique_ptr<AdmissionController> MakeAdmissionController(size_t mpl_cap, int64_t max_queue) {
-  if (mpl_cap == 0) {
-    return std::make_unique<UnboundedAdmission>();
-  }
-  if (max_queue < 0) {
-    return std::make_unique<FixedMplAdmission>(mpl_cap);
-  }
-  return std::make_unique<LoadSheddingAdmission>(mpl_cap, static_cast<size_t>(max_queue));
+  return std::make_unique<AdmissionController>(mpl_cap, max_queue);
 }
 
 }  // namespace affsched

@@ -19,7 +19,6 @@
 #define SRC_OPENSYS_ARRIVAL_PROCESS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -51,9 +50,6 @@ class ArrivalProcess {
   // Produces the next arrival (times non-decreasing). Returns false when the
   // stream is exhausted; the stochastic processes here never exhaust.
   virtual bool Next(ArrivalPlanEntry* out) = 0;
-
-  // Short identifier for sweep axes and JSON ("poisson", "onoff").
-  virtual std::string Name() const = 0;
 };
 
 // Memoryless arrivals: exponential inter-arrival times with the given mean,
@@ -64,7 +60,6 @@ class PoissonProcess : public ArrivalProcess {
 
   void Reset(uint64_t seed) override;
   bool Next(ArrivalPlanEntry* out) override;
-  std::string Name() const override { return "poisson"; }
 
  private:
   SimDuration mean_interarrival_;
@@ -93,7 +88,6 @@ class OnOffProcess : public ArrivalProcess {
 
   void Reset(uint64_t seed) override;
   bool Next(ArrivalPlanEntry* out) override;
-  std::string Name() const override { return "onoff"; }
 
  private:
   Params params_;

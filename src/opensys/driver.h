@@ -14,17 +14,16 @@
 //
 // Self-validation: a LittlesLawChecker accumulates both sides of L = lambda*W
 // over the full untrimmed window, where the law is an exact identity (every
-// admitted job completes; rejected jobs appear on neither side). Warmup
-// trimming — a fixed fraction of completions, or an MSER-style minimal
-// standard-error rule — applies only to the reported mean/percentile
-// statistics, never to the Little's-law accounting check.
+// admitted job completes; rejected jobs appear on neither side), within
+// kLittlesTolerance. Warmup trimming — a fixed fraction of completions, or an
+// MSER-style minimal standard-error rule — applies only to the reported
+// mean/percentile statistics, never to the Little's-law accounting check.
 
 #ifndef SRC_OPENSYS_DRIVER_H_
 #define SRC_OPENSYS_DRIVER_H_
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "src/engine/engine.h"
@@ -47,14 +46,11 @@ struct OpenSystemOptions {
   // For kFraction: fraction of completions (in completion order) excluded
   // from the reported latency statistics. In [0, 1).
   double warmup_fraction = 0.2;
-
-  // Tolerance for the Little's-law relative error (identity up to float
-  // rounding, so violations at any visible tolerance indicate a bug).
-  double littles_tolerance = 0.05;
-
-  // Bucket width of the sojourn/queue-wait histograms, in seconds.
-  double histogram_bucket_s = 0.05;
 };
+
+// Tolerance for the Little's-law relative error (identity up to float
+// rounding, so violations at any visible tolerance indicate a bug).
+inline constexpr double kLittlesTolerance = 0.05;
 
 // Per-arrival outcome, indexed like the arrival plan.
 struct OpenJobRecord {
@@ -111,10 +107,6 @@ class OpenSystemDriver {
   OpenSystemDriver(const OpenSystemDriver&) = delete;
   OpenSystemDriver& operator=(const OpenSystemDriver&) = delete;
 
-  // Attaches a sampler to the engine, plus two open-system probes: the
-  // admission-queue length and the in-service job count. Call before Run().
-  void SetSampler(Sampler* sampler);
-
   // Runs the whole plan to completion. Call at most once.
   OpenSystemResult Run();
 
@@ -137,7 +129,9 @@ class OpenSystemDriver {
 
   std::unique_ptr<Engine> engine_;
   std::vector<OpenJobRecord> records_;
-  std::unordered_map<JobId, size_t> job_to_plan_;
+  // Plan index of each admitted job, indexed by JobId: the engine numbers
+  // jobs densely in submission order, and every job it runs came from Admit.
+  std::vector<size_t> plan_of_job_;
   std::deque<size_t> fifo_;  // queued plan indices, arrival order
   std::vector<size_t> completion_order_;  // plan indices in completion order
 

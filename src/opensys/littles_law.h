@@ -8,7 +8,7 @@
 // beyond float rounding indicates an accounting bug (double-counted queue
 // wait, a lost completion, a job charged to the wrong window), not a
 // statistical fluke. The driver runs it over the full untrimmed window and
-// fails a run whose relative error exceeds the configured tolerance.
+// fails a run whose relative error exceeds kLittlesTolerance (driver.h).
 
 #ifndef SRC_OPENSYS_LITTLES_LAW_H_
 #define SRC_OPENSYS_LITTLES_LAW_H_

@@ -189,6 +189,9 @@ bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::strin
                  std::bind_front(ApplyOpenKey, spec), error)) {
     return false;
   }
+  if (spec->max_queue >= 0 && spec->mpl_cap == 0) {
+    return SpecError(error, "max-queue needs mpl-cap > 0");
+  }
   spec->name = text;
   *error = spec->machine.Validate();
   return error->empty();
@@ -229,10 +232,9 @@ OpenSystemResult RunOpenCell(const OpenSweepSpec& spec, const std::vector<AppPro
   std::unique_ptr<ArrivalProcess> process = MakeArrivalProcess(spec, kind, interarrival_s);
   std::vector<ArrivalPlanEntry> plan =
       GenerateArrivals(*process, seed, spec.jobs_per_cell, /*t_end=*/0);
-  std::unique_ptr<AdmissionController> admission =
-      MakeAdmissionController(spec.mpl_cap, spec.max_queue);
-  OpenSystemDriver driver(spec.machine, policy, apps, std::move(plan), admission.get(),
-                          seed, spec.open);
+  AdmissionController admission(spec.mpl_cap, spec.max_queue);
+  OpenSystemDriver driver(spec.machine, policy, apps, std::move(plan), &admission, seed,
+                          spec.open);
   return driver.Run();
 }
 
@@ -262,49 +264,33 @@ OpenSweepResult OpenSweepRunner::Run(const OpenSweepSpec& spec) const {
   // Expand the grid in serialization order; every cell folds into its
   // preallocated slot, so worker count and execution order cannot reorder
   // (or even reorder within float addition) anything.
-  struct CellDesc {
-    PolicyKind policy;
-    ArrivalKind arrivals;
-    double rho;
-    size_t replication;
-    uint64_t seed;
-  };
-  std::vector<CellDesc> descs;
-  descs.reserve(spec.Cells());
+  result.cells.reserve(spec.Cells());
   for (size_t a = 0; a < spec.arrivals.size(); ++a) {
     for (double rho : spec.rhos) {
       for (PolicyKind policy : spec.policies) {
         for (size_t rep = 0; rep < spec.replications; ++rep) {
-          CellDesc d;
-          d.policy = policy;
-          d.arrivals = spec.arrivals[a];
-          d.rho = rho;
-          d.replication = rep;
-          d.seed = DeriveOpenCellSeed(spec.root_seed, a, RhoPermille(rho), rep);
-          descs.push_back(d);
+          OpenCellResult& cell = result.cells.emplace_back();
+          cell.policy = policy;
+          cell.arrivals = spec.arrivals[a];
+          cell.rho = rho;
+          cell.replication = rep;
+          cell.seed = DeriveOpenCellSeed(spec.root_seed, a, RhoPermille(rho), rep);
         }
       }
     }
   }
-  result.cells.resize(descs.size());
 
   WorkerPool pool(options_.jobs > 0 ? options_.jobs : WorkerPool::DefaultThreadCount());
   // Waves of one task per worker keep the progress callback on the
   // orchestration thread without perturbing results (slots are indexed).
   const size_t wave = pool.size();
-  for (size_t begin = 0; begin < descs.size(); begin += wave) {
-    const size_t count = std::min(wave, descs.size() - begin);
+  const size_t total = result.cells.size();
+  for (size_t begin = 0; begin < total; begin += wave) {
+    const size_t count = std::min(wave, total - begin);
     pool.ParallelFor(count, [&, begin](size_t k) {
-      const size_t i = begin + k;
-      const CellDesc& d = descs[i];
-      OpenCellResult& cell = result.cells[i];
-      cell.policy = d.policy;
-      cell.arrivals = d.arrivals;
-      cell.rho = d.rho;
-      cell.replication = d.replication;
-      cell.seed = d.seed;
-      cell.result =
-          RunOpenCell(spec, apps, d.policy, d.arrivals, d.rho, d.seed, result.mean_demand_s);
+      OpenCellResult& cell = result.cells[begin + k];
+      cell.result = RunOpenCell(spec, apps, cell.policy, cell.arrivals, cell.rho, cell.seed,
+                                result.mean_demand_s);
       if (spec.rt) {
         // A completed job misses when queue wait + service exceeds its
         // relative deadline; rejected jobs appear in neither count.
@@ -321,24 +307,13 @@ OpenSweepResult OpenSweepRunner::Run(const OpenSweepSpec& spec) const {
       }
     });
     if (options_.progress) {
-      options_.progress(begin + count, descs.size());
+      options_.progress(begin + count, total);
     }
   }
 
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return result;
-}
-
-const OpenCellResult* OpenSweepResult::Find(PolicyKind policy, ArrivalKind arrivals,
-                                            int rho_permille, size_t replication) const {
-  for (const OpenCellResult& cell : cells) {
-    if (cell.policy == policy && cell.arrivals == arrivals &&
-        RhoPermille(cell.rho) == rho_permille && cell.replication == replication) {
-      return &cell;
-    }
-  }
-  return nullptr;
 }
 
 bool OpenSweepResult::AllLittlesLawOk() const {
@@ -365,12 +340,12 @@ std::string OpenSweepResult::ToJson() const {
   }
   o << "],\"jobs_per_cell\":" << spec.jobs_per_cell
     << ",\"replications\":" << spec.replications << ",\"admission\":{\"name\":\""
-    << MakeAdmissionController(spec.mpl_cap, spec.max_queue)->Name()
+    << AdmissionController(spec.mpl_cap, spec.max_queue).Name()
     << "\",\"mpl_cap\":" << spec.mpl_cap << ",\"max_queue\":" << spec.max_queue << "}"
     << ",\"warmup\":{\"rule\":\""
     << (spec.open.warmup_rule == WarmupRule::kMser ? "mser" : "fraction")
     << "\",\"fraction\":" << JsonNumber(spec.open.warmup_fraction) << "}"
-    << ",\"littles_tolerance\":" << JsonNumber(spec.open.littles_tolerance)
+    << ",\"littles_tolerance\":" << JsonNumber(kLittlesTolerance)
     << ",\"mean_demand_s\":" << JsonNumber(mean_demand_s);
   AppendGridSpecJsonTail(spec, o);
 

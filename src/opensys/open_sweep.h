@@ -61,8 +61,8 @@ struct OpenSweepSpec : GridSpec {
   // the cell's length).
   size_t jobs_per_cell = 80;
 
-  // Admission policy (see MakeAdmissionController): mpl_cap == 0 unbounded;
-  // max_queue >= 0 enables load shedding.
+  // Admission rule (see src/opensys/admission.h): mpl_cap == 0 unbounded;
+  // max_queue >= 0 enables load shedding and needs mpl_cap > 0.
   size_t mpl_cap = 0;
   int64_t max_queue = -1;
 
@@ -93,8 +93,8 @@ OpenSweepSpec OpenSysSmokeSpec();  // 2 policies x 2 rhos x poisson
 // (src/runner/grid_spec.h), plus rhos (comma-separated), arrivals
 // (comma-separated kinds), count (arrivals per cell, at most
 // kMaxArrivalsPerCell), reps (at most kMaxReplications; both in
-// src/runner/sweep.h), mpl-cap, max-queue, warmup ("mser" or a fraction) and
-// burst (on/off burst factor, in (1, 1000]).
+// src/runner/sweep.h), mpl-cap, max-queue (needs mpl-cap > 0), warmup ("mser"
+// or a fraction) and burst (on/off burst factor, in (1, 1000]).
 bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::string* error);
 
 // Deterministic mean job demand in seconds of base-machine work: a fixed
@@ -122,9 +122,6 @@ struct OpenSweepResult {
   std::vector<OpenCellResult> cells;  // arrival-major, rho, policy, replication
   // Wall-clock of the Run() call; informational, never serialized.
   double wall_seconds = 0.0;
-
-  const OpenCellResult* Find(PolicyKind policy, ArrivalKind arrivals, int rho_permille,
-                             size_t replication) const;
 
   // True if every cell's Little's-law check passed (the identity holds for
   // shedding cells too: rejected jobs appear on neither side).

@@ -216,23 +216,6 @@ Topology::Topology(const TopologySpec& spec, size_t num_processors) : spec_(spec
   }
   num_clusters_ = cluster_of_.back() + 1;
   num_nodes_ = node_of_.back() + 1;
-
-  tier_.resize(num_processors * num_processors);
-  for (size_t a = 0; a < num_processors; ++a) {
-    for (size_t b = 0; b < num_processors; ++b) {
-      size_t tier;
-      if (a == b) {
-        tier = 0;
-      } else if (cluster_of_[a] == cluster_of_[b]) {
-        tier = 1;
-      } else if (node_of_[a] == node_of_[b]) {
-        tier = 2;
-      } else {
-        tier = 3;
-      }
-      tier_[a * num_processors + b] = tier;
-    }
-  }
 }
 
 size_t Topology::ClusterOf(size_t proc) const {
@@ -247,7 +230,13 @@ size_t Topology::NodeOf(size_t proc) const {
 
 size_t Topology::TierBetween(size_t a, size_t b) const {
   AFF_CHECK(a < cluster_of_.size() && b < cluster_of_.size());
-  return tier_[a * cluster_of_.size() + b];
+  if (a == b) {
+    return 0;
+  }
+  if (cluster_of_[a] == cluster_of_[b]) {
+    return 1;
+  }
+  return node_of_[a] == node_of_[b] ? 2 : 3;
 }
 
 }  // namespace affsched

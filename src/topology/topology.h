@@ -5,9 +5,9 @@
 // modern descendant is hierarchical: private per-core caches, cluster-shared
 // last-level caches, NUMA nodes behind an interconnect — and the reload
 // transient depends on *where* the task lands. This module describes that
-// hierarchy (core -> cluster -> node -> machine) and derives the
-// processor-pair distance-tier matrix the accounting layer and the
-// distance-aware policies consult:
+// hierarchy (core -> cluster -> node -> machine) and the distance tier
+// between two processors, which the accounting layer and the distance-aware
+// policies consult:
 //
 //   tier 0  same processor      private cache still warm (paper's P^A)
 //   tier 1  same cluster        L1 cold, cluster LLC warm (partial reuse)
@@ -103,7 +103,7 @@ bool ParseTopologySpec(const std::string& text, TopologySpec* spec, std::string*
 std::string RenderTopologyList();
 
 // The concrete topology of one machine: the spec instantiated over
-// `num_processors` processors, with the distance-tier matrix derived.
+// `num_processors` processors, with each processor's cluster and node.
 class Topology {
  public:
   Topology(const TopologySpec& spec, size_t num_processors);
@@ -116,9 +116,10 @@ class Topology {
   size_t ClusterOf(size_t proc) const;
   size_t NodeOf(size_t proc) const;
 
-  // Distance tier between two processors (0..kNumDistanceTiers-1). Symmetric,
-  // zero on the diagonal, and an ultrametric (max of any two legs bounds the
-  // third), so the triangle inequality holds.
+  // Distance tier between two processors (0..kNumDistanceTiers-1), computed
+  // from their clusters and nodes. Symmetric, zero on the diagonal, and an
+  // ultrametric (max of any two legs bounds the third), so the triangle
+  // inequality holds.
   size_t TierBetween(size_t a, size_t b) const;
 
  private:
@@ -127,7 +128,6 @@ class Topology {
   size_t num_nodes_ = 1;
   std::vector<size_t> cluster_of_;
   std::vector<size_t> node_of_;
-  std::vector<size_t> tier_;  // num_processors x num_processors, row-major
 };
 
 }  // namespace affsched

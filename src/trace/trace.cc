@@ -36,17 +36,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
   return "unknown";
 }
 
-bool TraceEventKindFromName(const std::string& name, TraceEventKind* kind) {
-  for (size_t i = 0; i < kNumTraceEventKinds; ++i) {
-    const TraceEventKind candidate = static_cast<TraceEventKind>(i);
-    if (name == TraceEventKindName(candidate)) {
-      *kind = candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
 RingTrace::RingTrace(size_t capacity) : capacity_(capacity) {
   AFF_CHECK(capacity_ > 0);
   ring_.reserve(std::min<size_t>(capacity_, 4096));

@@ -36,10 +36,6 @@ enum class TraceEventKind : uint8_t {
 
 const char* TraceEventKindName(TraceEventKind kind);
 
-// Inverse of TraceEventKindName (CSV/trace ingestion). Returns false and
-// leaves `kind` untouched when `name` matches no event kind.
-bool TraceEventKindFromName(const std::string& name, TraceEventKind* kind);
-
 // Number of distinct TraceEventKind values (for iteration in tests).
 inline constexpr size_t kNumTraceEventKinds =
     static_cast<size_t>(TraceEventKind::kDeadlineMiss) + 1;

@@ -66,18 +66,6 @@ TEST(ExactCacheTest, EvictionDecrementsVictimResidency) {
   EXPECT_EQ(c.ResidentLines(2), 1u);
 }
 
-TEST(ExactCacheTest, InvalidateOwnerRemovesAllLines) {
-  ExactCache c(SmallGeometry());
-  for (uint64_t b = 0; b < 6; ++b) {
-    c.Access(3, b);
-  }
-  c.Access(4, 7);
-  EXPECT_EQ(c.InvalidateOwner(3), 6u);
-  EXPECT_EQ(c.ResidentLines(3), 0u);
-  EXPECT_EQ(c.ResidentLines(4), 1u);
-  EXPECT_EQ(c.OccupiedLines(), 1u);
-}
-
 TEST(ExactCacheTest, FlushEmptiesEverything) {
   ExactCache c(SmallGeometry());
   for (uint64_t b = 0; b < 10; ++b) {

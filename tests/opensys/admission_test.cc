@@ -6,15 +6,20 @@ namespace affsched {
 namespace {
 
 TEST(AdmissionTest, UnboundedAdmitsEverything) {
-  UnboundedAdmission admission;
+  const AdmissionController admission(0, -1);
   EXPECT_EQ(admission.OnArrival(0, 0), AdmissionVerdict::kAdmit);
   EXPECT_EQ(admission.OnArrival(1000, 1000), AdmissionVerdict::kAdmit);
   EXPECT_TRUE(admission.CanAdmitQueued(1000));
   EXPECT_EQ(admission.Name(), "unbounded");
+  // Without a cap the queue bound plays no part.
+  const AdmissionController bounded_queue(0, 0);
+  EXPECT_EQ(bounded_queue.OnArrival(1000, 1000), AdmissionVerdict::kAdmit);
+  EXPECT_TRUE(bounded_queue.CanAdmitQueued(1000));
+  EXPECT_EQ(bounded_queue.Name(), "unbounded");
 }
 
 TEST(AdmissionTest, FixedMplQueuesAtCap) {
-  FixedMplAdmission admission(2);
+  const AdmissionController admission(2, -1);
   EXPECT_EQ(admission.OnArrival(0, 0), AdmissionVerdict::kAdmit);
   EXPECT_EQ(admission.OnArrival(1, 0), AdmissionVerdict::kAdmit);
   EXPECT_EQ(admission.OnArrival(2, 0), AdmissionVerdict::kQueue);
@@ -25,18 +30,21 @@ TEST(AdmissionTest, FixedMplQueuesAtCap) {
 }
 
 TEST(AdmissionTest, LoadSheddingRejectsWhenQueueFull) {
-  LoadSheddingAdmission admission(1, 2);
+  const AdmissionController admission(1, 2);
   EXPECT_EQ(admission.OnArrival(0, 0), AdmissionVerdict::kAdmit);
   EXPECT_EQ(admission.OnArrival(1, 0), AdmissionVerdict::kQueue);
   EXPECT_EQ(admission.OnArrival(1, 1), AdmissionVerdict::kQueue);
   EXPECT_EQ(admission.OnArrival(1, 2), AdmissionVerdict::kReject);
+  EXPECT_FALSE(admission.CanAdmitQueued(1));
+  EXPECT_TRUE(admission.CanAdmitQueued(0));
   EXPECT_EQ(admission.Name(), "shed-1-q2");
 }
 
 TEST(AdmissionTest, LoadSheddingWithZeroQueueRejectsImmediately) {
-  LoadSheddingAdmission admission(1, 0);
+  const AdmissionController admission(1, 0);
   EXPECT_EQ(admission.OnArrival(0, 0), AdmissionVerdict::kAdmit);
   EXPECT_EQ(admission.OnArrival(1, 0), AdmissionVerdict::kReject);
+  EXPECT_EQ(admission.Name(), "shed-1-q0");
 }
 
 TEST(AdmissionTest, FactorySelectsPolicyFromKnobs) {
@@ -45,11 +53,6 @@ TEST(AdmissionTest, FactorySelectsPolicyFromKnobs) {
   EXPECT_EQ(MakeAdmissionController(4, -1)->Name(), "mpl-4");
   EXPECT_EQ(MakeAdmissionController(4, 8)->Name(), "shed-4-q8");
   EXPECT_EQ(MakeAdmissionController(4, 0)->Name(), "shed-4-q0");
-}
-
-TEST(AdmissionDeathTest, ZeroCapAborts) {
-  EXPECT_DEATH(FixedMplAdmission(0), "positive");
-  EXPECT_DEATH(LoadSheddingAdmission(0, 4), "positive");
 }
 
 }  // namespace

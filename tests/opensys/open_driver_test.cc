@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/apps/apps.h"
-#include "src/telemetry/metrics.h"
 
 namespace affsched {
 namespace {
@@ -28,7 +27,7 @@ std::vector<ArrivalPlanEntry> BurstPlan(size_t count) {
 }
 
 TEST(OpenDriverTest, UnboundedAdmissionRunsEveryArrival) {
-  UnboundedAdmission admission;
+  AdmissionController admission(0, -1);
   OpenSystemDriver driver(SmallMachine(), PolicyKind::kDynAff, SmallApps(), BurstPlan(6),
                           &admission, 42);
   const OpenSystemResult result = driver.Run();
@@ -52,7 +51,7 @@ TEST(OpenDriverTest, UnboundedAdmissionRunsEveryArrival) {
 }
 
 TEST(OpenDriverTest, MplCapQueuesAndAccountsWaitSeparately) {
-  FixedMplAdmission admission(1);
+  AdmissionController admission(1, -1);
   OpenSystemDriver driver(SmallMachine(), PolicyKind::kDynAff, SmallApps(), BurstPlan(4),
                           &admission, 42);
   const OpenSystemResult result = driver.Run();
@@ -74,7 +73,7 @@ TEST(OpenDriverTest, MplCapQueuesAndAccountsWaitSeparately) {
 }
 
 TEST(OpenDriverTest, LoadSheddingRejectsExcessArrivals) {
-  LoadSheddingAdmission admission(1, 0);
+  AdmissionController admission(1, 0);
   OpenSystemDriver driver(SmallMachine(), PolicyKind::kDynAff, SmallApps(), BurstPlan(5),
                           &admission, 42);
   const OpenSystemResult result = driver.Run();
@@ -94,7 +93,7 @@ TEST(OpenDriverTest, LoadSheddingRejectsExcessArrivals) {
 
 TEST(OpenDriverTest, DeterministicForAGivenSeed) {
   auto run = [] {
-    UnboundedAdmission admission;
+    AdmissionController admission(0, -1);
     OpenSystemDriver driver(SmallMachine(), PolicyKind::kDynamic, SmallApps(), BurstPlan(5),
                             &admission, 7);
     return driver.Run();
@@ -113,7 +112,7 @@ TEST(OpenDriverTest, DeterministicForAGivenSeed) {
 TEST(OpenDriverTest, WarmupFractionTrimsReportedStatsOnly) {
   OpenSystemOptions options;
   options.warmup_fraction = 0.5;
-  UnboundedAdmission admission;
+  AdmissionController admission(0, -1);
   OpenSystemDriver driver(SmallMachine(), PolicyKind::kDynAff, SmallApps(), BurstPlan(6),
                           &admission, 42, options);
   const OpenSystemResult result = driver.Run();
@@ -122,21 +121,8 @@ TEST(OpenDriverTest, WarmupFractionTrimsReportedStatsOnly) {
   EXPECT_TRUE(result.littles.ok);
 }
 
-TEST(OpenDriverTest, SamplerGainsOpenSystemProbes) {
-  Sampler sampler(Milliseconds(5));
-  FixedMplAdmission admission(1);
-  OpenSystemDriver driver(SmallMachine(), PolicyKind::kDynAff, SmallApps(), BurstPlan(4),
-                          &admission, 42);
-  driver.SetSampler(&sampler);
-  driver.Run();
-  ASSERT_GT(sampler.num_samples(), 0u);
-  const std::string csv = sampler.ToCsv();
-  EXPECT_NE(csv.find("open.queue_len"), std::string::npos);
-  EXPECT_NE(csv.find("open.in_service"), std::string::npos);
-}
-
 TEST(OpenDriverTest, EmptyPlanDrainsImmediately) {
-  UnboundedAdmission admission;
+  AdmissionController admission(0, -1);
   OpenSystemDriver driver(SmallMachine(), PolicyKind::kDynAff, SmallApps(), {}, &admission, 42);
   const OpenSystemResult result = driver.Run();
   EXPECT_EQ(result.arrivals, 0u);
@@ -167,7 +153,7 @@ TEST(MserTest, SteadySamplesNeedNoTrim) {
 }
 
 TEST(OpenDriverDeathTest, RunTwiceAborts) {
-  UnboundedAdmission admission;
+  AdmissionController admission(0, -1);
   OpenSystemDriver driver(SmallMachine(), PolicyKind::kDynAff, SmallApps(), BurstPlan(2),
                           &admission, 42);
   driver.Run();
@@ -175,7 +161,7 @@ TEST(OpenDriverDeathTest, RunTwiceAborts) {
 }
 
 TEST(OpenDriverDeathTest, UnsortedPlanAborts) {
-  UnboundedAdmission admission;
+  AdmissionController admission(0, -1);
   std::vector<ArrivalPlanEntry> plan = {{0, Seconds(2)}, {0, Seconds(1)}};
   EXPECT_DEATH(OpenSystemDriver(SmallMachine(), PolicyKind::kDynAff, SmallApps(),
                                 std::move(plan), &admission, 42),
