@@ -5,7 +5,7 @@
 // regeneration sweeps' runtimes.
 //
 // The sweep table's entries feed the jobs/s floors in bench/baseline.json:
-// `tools/bench_compare.py --microbench --floors-key KEY` gates
+// `tools/bench_compare.py --floors-key KEY` gates
 // microbench_opensys (BM_Open*), microbench_topology (BM_TopologySweep*),
 // microbench_multiqueue (BM_MultiQueue*) and microbench_rt (BM_Rt*).
 //

@@ -122,15 +122,11 @@ void Accounting::FinalizeMetrics() {
   add("engine.switch_time_ns", WholeNanoseconds(total.switch_s));
   // By distance tier. A same-processor pull is a local-queue dispatch, not a
   // steal, so engine.steals.same_core stays 0.
-  const uint64_t migrations[kNumDistanceTiers] = {
-      total.migrations_same_core, total.migrations_same_cluster, total.migrations_same_node,
-      total.migrations_cross_node};
-  const uint64_t steals[kNumDistanceTiers] = {0, total.steals_same_cluster,
-                                              total.steals_same_node, total.steals_cross_node};
   for (size_t tier = 0; tier < kNumDistanceTiers; ++tier) {
     add(std::string("engine.migrations.") + DistanceTierName(tier),
-        static_cast<double>(migrations[tier]));
-    add(std::string("engine.steals.") + DistanceTierName(tier), static_cast<double>(steals[tier]));
+        static_cast<double>(total.migrations[tier]));
+    add(std::string("engine.steals.") + DistanceTierName(tier),
+        static_cast<double>(total.steals[tier]));
   }
   add("engine.balance_migrations", static_cast<double>(total.balance_migrations));
   add("engine.deadline_misses", static_cast<double>(total.deadline_misses));
@@ -251,37 +247,13 @@ void Accounting::RecordDispatch(JobState& js, size_t proc, bool affine, size_t t
   }
   if (tier != kNoMigrationTier) {
     AFF_CHECK(tier < kNumDistanceTiers);
-    switch (tier) {
-      case 0:
-        st.migrations_same_core++;
-        break;
-      case 1:
-        st.migrations_same_cluster++;
-        break;
-      case 2:
-        st.migrations_same_node++;
-        break;
-      default:
-        st.migrations_cross_node++;
-        break;
-    }
+    st.migrations[tier]++;
   }
 }
 
 void Accounting::RecordSteal(JobState& js, size_t tier) {
   AFF_CHECK(tier > 0 && tier < kNumDistanceTiers);
-  JobStats& st = js.job->stats();
-  switch (tier) {
-    case 1:
-      st.steals_same_cluster++;
-      break;
-    case 2:
-      st.steals_same_node++;
-      break;
-    default:
-      st.steals_cross_node++;
-      break;
-  }
+  js.job->stats().steals[tier]++;
 }
 
 void Accounting::RecordBalanceMigration(JobState& js) {

@@ -55,7 +55,7 @@ void ReplicationFolder::Fold(const RunResult& run) {
 bool ReplicationFolder::Precise(const ReplicationOptions& options) const {
   for (size_t j = 0; j < num_jobs_; ++j) {
     const Summary& s = result_.response[j];
-    if (s.ConfidenceHalfWidth(options.confidence) > options.relative_precision * s.mean()) {
+    if (s.ConfidenceHalfWidth(kReplicationConfidence) > options.relative_precision * s.mean()) {
       return false;
     }
   }

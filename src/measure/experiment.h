@@ -41,9 +41,11 @@ RunResult RunOnce(const MachineConfig& machine, PolicyKind policy_kind,
                   const std::vector<AppProfile>& jobs, uint64_t seed,
                   const Engine::Options& options = Engine::Options());
 
+// The confidence level of every replicated experiment's interval (Section 6).
+inline constexpr double kReplicationConfidence = 0.95;
+
 struct ReplicationOptions {
   double relative_precision = 0.02;
-  double confidence = 0.95;
   size_t min_replications = 3;
   size_t max_replications = 15;
 };

@@ -54,7 +54,7 @@ bool ApplyGridKey(const std::string& key, const std::string& value, const std::s
   if (key == "rt") {
     return ReadSpecBool(key, value, &spec->rt, error);
   }
-  if (key == "deadline-mix" || key == "deadline_mix") {
+  if (key == "deadline-mix") {
     spec->deadline_mix = value;
     return IsDeadlineMix(value) ||
            SpecError(error, "unknown deadline mix '" + value +

@@ -162,7 +162,7 @@ bool ApplySweepKey(SweepSpec* spec, const std::string& key, const std::string& v
   if (key == "observability") {
     return ReadSpecBool(key, value, &spec->observability, error);
   }
-  if (key == "balance-interval" || key == "balance_interval") {
+  if (key == "balance-interval") {
     double ms = 0.0;
     if (!ReadSpecNumber(key, value, &ms, error)) {
       return false;
@@ -214,6 +214,16 @@ const ExperimentResult* SweepResult::Find(PolicyKind policy, int mix_number) con
 
 namespace {
 
+// `,"key":{"<tier name>":count,...}` over tiers first..kNumDistanceTiers-1.
+void AppendTierCounts(std::ostringstream& o, const char* key,
+                      const uint64_t (&counts)[kNumDistanceTiers], size_t first) {
+  o << ",\"" << key << "\":{";
+  for (size_t tier = first; tier < kNumDistanceTiers; ++tier) {
+    o << (tier > first ? "," : "") << "\"" << DistanceTierName(tier) << "\":" << counts[tier];
+  }
+  o << "}";
+}
+
 // The per-tier blocks are emitted only for hierarchical topologies, and the
 // steal blocks only for grids containing a multi-queue policy, so the
 // flat-machine JSON stays byte-identical to the pre-topology schema (pinned
@@ -232,18 +242,14 @@ std::string StatsJson(const JobStats& stats, bool tiered, bool mq, bool rt) {
     << ",\"realloc_interval_s\":" << JsonNumber(stats.ReallocationIntervalSeconds())
     << ",\"avg_alloc\":" << JsonNumber(stats.AverageAllocation());
   if (tiered) {
-    o << ",\"migrations\":{\"same_core\":" << stats.migrations_same_core
-      << ",\"same_cluster\":" << stats.migrations_same_cluster
-      << ",\"same_node\":" << stats.migrations_same_node
-      << ",\"cross_node\":" << stats.migrations_cross_node << "}"
-      << ",\"reload_llc_s\":" << JsonNumber(stats.reload_llc_s)
+    AppendTierCounts(o, "migrations", stats.migrations, 0);
+    o << ",\"reload_llc_s\":" << JsonNumber(stats.reload_llc_s)
       << ",\"reload_remote_s\":" << JsonNumber(stats.reload_remote_s);
   }
   if (mq) {
-    o << ",\"steals\":{\"same_cluster\":" << stats.steals_same_cluster
-      << ",\"same_node\":" << stats.steals_same_node
-      << ",\"cross_node\":" << stats.steals_cross_node << "}"
-      << ",\"balance_migrations\":" << stats.balance_migrations;
+    // Tier 0 is a local-queue dispatch, never a steal.
+    AppendTierCounts(o, "steals", stats.steals, 1);
+    o << ",\"balance_migrations\":" << stats.balance_migrations;
   }
   if (rt) {
     o << ",\"deadline_misses\":" << stats.deadline_misses
@@ -272,7 +278,7 @@ std::string SweepResult::ToJson() const {
   o << "],\"replications\":{\"min\":" << spec.replication.min_replications
     << ",\"max\":" << spec.replication.max_replications
     << ",\"precision\":" << JsonNumber(spec.replication.relative_precision)
-    << ",\"confidence\":" << JsonNumber(spec.replication.confidence) << "}";
+    << ",\"confidence\":" << JsonNumber(kReplicationConfidence) << "}";
   AppendGridSpecJsonTail(spec, o);
 
   const bool tiered = !spec.machine.topology.IsFlat();
@@ -290,7 +296,7 @@ std::string SweepResult::ToJson() const {
     for (size_t j = 0; j < rep.app.size(); ++j) {
       o << (j > 0 ? "," : "") << "{\"index\":" << j << ",\"app\":\"" << JsonEscape(rep.app[j])
         << "\",\"mean_response_s\":" << JsonNumber(rep.MeanResponse(j)) << ",\"ci_half_width_s\":"
-        << JsonNumber(rep.response[j].ConfidenceHalfWidth(spec.replication.confidence))
+        << JsonNumber(rep.response[j].ConfidenceHalfWidth(kReplicationConfidence))
         << ",\"mean_stats\":" << StatsJson(rep.mean_stats[j], tiered, mq, spec.rt) << "}";
     }
     o << "],\"cells\":[";
@@ -321,11 +327,9 @@ std::string SweepResult::ToJson() const {
       o << (e > 0 ? "," : "") << "{\"policy\":\"" << PolicyKindCliName(experiment.policy) << "\""
         << ",\"mix\":" << experiment.mix.number
         << ",\"reload_transient_fraction\":" << JsonNumber(total.ReloadTransientFraction())
-        << ",\"affine_fraction\":" << JsonNumber(total.AffinityFraction())
-        << ",\"migrations\":{\"same_core\":" << total.migrations_same_core
-        << ",\"same_cluster\":" << total.migrations_same_cluster
-        << ",\"same_node\":" << total.migrations_same_node
-        << ",\"cross_node\":" << total.migrations_cross_node << "}}";
+        << ",\"affine_fraction\":" << JsonNumber(total.AffinityFraction());
+      AppendTierCounts(o, "migrations", total.migrations, 0);
+      o << "}";
     }
     o << "]}";
   }

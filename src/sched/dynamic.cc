@@ -6,6 +6,18 @@
 
 namespace affsched {
 
+namespace {
+
+// Priority-credit cost (processor-seconds) per processor of advantage when
+// preempting beyond strict equalisation. This is the "spend credits to
+// obtain temporarily more than its fair share" mechanism of
+// [McCann et al. 91]: jobs that used few processors during narrow phases
+// may claim extra ones during bursts, and the rising per-processor cost
+// keeps the exchange from thrashing.
+constexpr double kCreditMargin = 1.5;
+
+}  // namespace
+
 std::string DynamicOptions::PolicyName() const {
   if (!use_affinity) {
     return "Dynamic";
@@ -130,7 +142,7 @@ size_t DynamicPolicy::PickPreemptionVictim(const SchedView& view, JobId job) con
   const size_t my_alloc = view.EffectiveAllocation(job);
   // Preempt if it moves the allocations toward equality, or if the requester
   // has banked enough priority credit to claim beyond its share: each
-  // processor past equality costs `credit_margin` of priority advantage, so
+  // processor past equality costs kCreditMargin of priority advantage, so
   // bursts are served but over-holding is self-limiting.
   const bool equalizes = biggest_alloc >= my_alloc + 2;
   bool spend_credit = false;
@@ -145,7 +157,7 @@ size_t DynamicPolicy::PickPreemptionVictim(const SchedView& view, JobId job) con
     const bool victim_above_fair = static_cast<double>(biggest_alloc) > fair;
     const double extra = static_cast<double>(my_alloc + 2 - biggest_alloc);
     spend_credit = victim_above_fair && view.Priority(job) > 0.0 &&
-                   view.Priority(job) > view.Priority(biggest) + options_.credit_margin * extra;
+                   view.Priority(job) > view.Priority(biggest) + kCreditMargin * extra;
   }
   if (!equalizes && !spend_credit) {
     return kNoProcessor;

@@ -31,13 +31,6 @@ struct DynamicOptions {
   bool enforce_priority = true;
   // Dyn-Aff-Delay's hold time for idle processors (0 = immediate yield).
   SimDuration yield_delay = 0;
-  // Priority-credit cost (processor-seconds) per processor of advantage when
-  // preempting beyond strict equalisation. This is the "spend credits to
-  // obtain temporarily more than its fair share" mechanism of
-  // [McCann et al. 91]: jobs that used few processors during narrow phases
-  // may claim extra ones during bursts, and the rising per-processor cost
-  // keeps the exchange from thrashing.
-  double credit_margin = 1.5;
   // Maximum migration distance tier (SchedView::DistanceTier) at which a
   // task's cache context still counts as affinity for rules A.1/A.2:
   //   0 — exact processor only (the paper's Dyn-Aff; private caches only)

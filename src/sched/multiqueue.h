@@ -44,9 +44,6 @@ struct MultiQueueOptions {
   //   2 — same node (cluster-next)
   //   3 — whole machine (NUMA-last)
   size_t steal_tier = 0;
-  // Cadence of the periodic load-balance tick; 0 disables balancing.
-  // EngineOptions::balance_interval overrides this per run when set.
-  SimDuration balance_interval = 0;
 
   std::string PolicyName() const;
 };
@@ -64,7 +61,6 @@ class MultiQueuePolicy : public Policy {
   PolicyDecision OnBalanceTick(const SchedView& view) override;
 
   bool UsesAffinity() const override { return true; }
-  SimDuration BalanceInterval() const override { return options_.balance_interval; }
 
   const MultiQueueOptions& options() const { return options_; }
   // The job's home queue (kNoProcessor if it has none yet); test hook.

@@ -30,6 +30,13 @@ bool ReadFileText(const fs::path& path, std::string* out) {
   return in.good() || in.eof();
 }
 
+// Entry keys of the per-tier counts, indexed by distance tier. Tier 0 is a
+// local-queue dispatch, never a steal, so it has no steal key.
+constexpr const char* kMigrationKeys[kNumDistanceTiers] = {"mig_core", "mig_cluster", "mig_node",
+                                                           "mig_cross"};
+constexpr const char* kStealKeys[kNumDistanceTiers] = {nullptr, "steal_cluster", "steal_node",
+                                                       "steal_cross"};
+
 // JobStats fields in a fixed order. Every field the sweep JSON derives from
 // must round-trip exactly, or a resumed sweep's document would drift from
 // the uninterrupted one.
@@ -43,17 +50,16 @@ void AppendStats(const JobStats& stats, std::ostringstream& o) {
     << ",\"waste_s\":" << ExactDouble(stats.waste_s)
     << ",\"alloc_integral_s\":" << ExactDouble(stats.alloc_integral_s)
     << ",\"reallocations\":" << stats.reallocations
-    << ",\"affinity_dispatches\":" << stats.affinity_dispatches
-    << ",\"mig_core\":" << stats.migrations_same_core
-    << ",\"mig_cluster\":" << stats.migrations_same_cluster
-    << ",\"mig_node\":" << stats.migrations_same_node
-    << ",\"mig_cross\":" << stats.migrations_cross_node
-    << ",\"reload_llc_s\":" << ExactDouble(stats.reload_llc_s)
-    << ",\"reload_remote_s\":" << ExactDouble(stats.reload_remote_s)
-    << ",\"steal_cluster\":" << stats.steals_same_cluster
-    << ",\"steal_node\":" << stats.steals_same_node
-    << ",\"steal_cross\":" << stats.steals_cross_node
-    << ",\"balance_migrations\":" << stats.balance_migrations
+    << ",\"affinity_dispatches\":" << stats.affinity_dispatches;
+  for (size_t tier = 0; tier < kNumDistanceTiers; ++tier) {
+    o << ",\"" << kMigrationKeys[tier] << "\":" << stats.migrations[tier];
+  }
+  o << ",\"reload_llc_s\":" << ExactDouble(stats.reload_llc_s)
+    << ",\"reload_remote_s\":" << ExactDouble(stats.reload_remote_s);
+  for (size_t tier = 1; tier < kNumDistanceTiers; ++tier) {
+    o << ",\"" << kStealKeys[tier] << "\":" << stats.steals[tier];
+  }
+  o << ",\"balance_migrations\":" << stats.balance_migrations
     << ",\"deadline_misses\":" << stats.deadline_misses
     << ",\"tardiness_s\":" << ExactDouble(stats.tardiness_s)
     << ",\"worst_reload_s\":" << ExactDouble(stats.worst_reload_s) << "}";
@@ -96,24 +102,18 @@ bool DecodeStats(const JsonValue& obj, JobStats* stats) {
   stats->reallocations = v->AsUint64();
   if (!GetNum(obj, "affinity_dispatches", &v)) return false;
   stats->affinity_dispatches = v->AsUint64();
-  if (!GetNum(obj, "mig_core", &v)) return false;
-  stats->migrations_same_core = v->AsUint64();
-  if (!GetNum(obj, "mig_cluster", &v)) return false;
-  stats->migrations_same_cluster = v->AsUint64();
-  if (!GetNum(obj, "mig_node", &v)) return false;
-  stats->migrations_same_node = v->AsUint64();
-  if (!GetNum(obj, "mig_cross", &v)) return false;
-  stats->migrations_cross_node = v->AsUint64();
+  for (size_t tier = 0; tier < kNumDistanceTiers; ++tier) {
+    if (!GetNum(obj, kMigrationKeys[tier], &v)) return false;
+    stats->migrations[tier] = v->AsUint64();
+  }
   if (!GetNum(obj, "reload_llc_s", &v)) return false;
   stats->reload_llc_s = v->AsDouble();
   if (!GetNum(obj, "reload_remote_s", &v)) return false;
   stats->reload_remote_s = v->AsDouble();
-  if (!GetNum(obj, "steal_cluster", &v)) return false;
-  stats->steals_same_cluster = v->AsUint64();
-  if (!GetNum(obj, "steal_node", &v)) return false;
-  stats->steals_same_node = v->AsUint64();
-  if (!GetNum(obj, "steal_cross", &v)) return false;
-  stats->steals_cross_node = v->AsUint64();
+  for (size_t tier = 1; tier < kNumDistanceTiers; ++tier) {
+    if (!GetNum(obj, kStealKeys[tier], &v)) return false;
+    stats->steals[tier] = v->AsUint64();
+  }
   if (!GetNum(obj, "balance_migrations", &v)) return false;
   stats->balance_migrations = v->AsUint64();
   if (!GetNum(obj, "deadline_misses", &v)) return false;

@@ -60,7 +60,7 @@ std::string CanonicalSpecText(const SweepSpec& spec) {
   }
   o << ";reps=" << spec.replication.min_replications << "-" << spec.replication.max_replications
     << ";precision=" << JsonNumber(spec.replication.relative_precision)
-    << ";confidence=" << JsonNumber(spec.replication.confidence)
+    << ";confidence=" << JsonNumber(kReplicationConfidence)
     << ";seed=" << SeedToDecimal(spec.root_seed) << ";";
   AppendMachineCanon(spec, o);
   o << ";observability=" << (spec.observability ? 1 : 0);

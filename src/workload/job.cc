@@ -13,15 +13,12 @@ void JobStats::Accumulate(const JobStats& x) {
   alloc_integral_s += x.alloc_integral_s;
   reallocations += x.reallocations;
   affinity_dispatches += x.affinity_dispatches;
-  migrations_same_core += x.migrations_same_core;
-  migrations_same_cluster += x.migrations_same_cluster;
-  migrations_same_node += x.migrations_same_node;
-  migrations_cross_node += x.migrations_cross_node;
+  for (size_t tier = 0; tier < kNumDistanceTiers; ++tier) {
+    migrations[tier] += x.migrations[tier];
+    steals[tier] += x.steals[tier];
+  }
   reload_llc_s += x.reload_llc_s;
   reload_remote_s += x.reload_remote_s;
-  steals_same_cluster += x.steals_same_cluster;
-  steals_same_node += x.steals_same_node;
-  steals_cross_node += x.steals_cross_node;
   balance_migrations += x.balance_migrations;
   deadline_misses += x.deadline_misses;
   tardiness_s += x.tardiness_s;
@@ -40,15 +37,12 @@ void JobStats::DivideBy(double n) {
   alloc_integral_s /= n;
   count(reallocations);
   count(affinity_dispatches);
-  count(migrations_same_core);
-  count(migrations_same_cluster);
-  count(migrations_same_node);
-  count(migrations_cross_node);
+  for (size_t tier = 0; tier < kNumDistanceTiers; ++tier) {
+    count(migrations[tier]);
+    count(steals[tier]);
+  }
   reload_llc_s /= n;
   reload_remote_s /= n;
-  count(steals_same_cluster);
-  count(steals_same_node);
-  count(steals_cross_node);
   count(balance_migrations);
   count(deadline_misses);
   tardiness_s /= n;

@@ -11,6 +11,7 @@
 
 #include "src/common/check.h"
 #include "src/common/time.h"
+#include "src/topology/topology.h"
 #include "src/workload/app_profile.h"
 #include "src/workload/thread_graph.h"
 
@@ -59,15 +60,12 @@ struct JobStats {
   // Of those, dispatches where the task's last processor matched.
   uint64_t affinity_dispatches = 0;
 
-  // Reallocations by migration distance tier (src/topology): how far from
-  // its previous processor each dispatch landed. First placements (no
-  // previous processor) count in `reallocations` only. On a flat machine
-  // every move is "same_cluster" — the tiers only differentiate costs on
-  // hierarchical topologies.
-  uint64_t migrations_same_core = 0;
-  uint64_t migrations_same_cluster = 0;
-  uint64_t migrations_same_node = 0;
-  uint64_t migrations_cross_node = 0;
+  // Reallocations by migration distance tier (src/topology), indexed by
+  // tier: how far from its previous processor each dispatch landed. First
+  // placements (no previous processor) count in `reallocations` only. On a
+  // flat machine every move is "same_cluster" — the tiers only differentiate
+  // costs on hierarchical topologies.
+  uint64_t migrations[kNumDistanceTiers] = {};
 
   // Reload-cost attribution on hierarchical topologies: the portion of
   // reload_stall_s served by the cluster LLC vs fetched across the node
@@ -76,11 +74,11 @@ struct JobStats {
   double reload_remote_s = 0.0;
 
   // Multi-queue (MQMS) policies only: times this job was pulled off another
-  // processor's queue, by the distance tier the steal crossed, plus periodic
-  // load-balance migrations. All zero under the centralized policies.
-  uint64_t steals_same_cluster = 0;
-  uint64_t steals_same_node = 0;
-  uint64_t steals_cross_node = 0;
+  // processor's queue, indexed by the distance tier the steal crossed, plus
+  // periodic load-balance migrations. All zero under the centralized
+  // policies; tier 0 is a local-queue dispatch, never a steal, so steals[0]
+  // stays 0.
+  uint64_t steals[kNumDistanceTiers] = {};
   uint64_t balance_migrations = 0;
 
   // Real-time accounting (deadline-bearing profiles only; see RtParams).
@@ -92,10 +90,6 @@ struct JobStats {
   uint64_t deadline_misses = 0;
   double tardiness_s = 0.0;
   double worst_reload_s = 0.0;
-
-  uint64_t TotalSteals() const {
-    return steals_same_cluster + steals_same_node + steals_cross_node;
-  }
 
   double ResponseSeconds() const {
     AFF_CHECK_MSG(completion >= 0, "job has not completed");

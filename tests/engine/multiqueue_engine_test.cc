@@ -18,6 +18,14 @@
 namespace affsched {
 namespace {
 
+uint64_t TotalSteals(const JobStats& stats) {
+  uint64_t total = 0;
+  for (uint64_t steals : stats.steals) {
+    total += steals;
+  }
+  return total;
+}
+
 TEST(MultiQueueEngineTest, RealisedStealAssignmentBumpsTheTierCounter) {
   CoreHarness h(2);
   const JobId a = h.AddActiveJob(1, Milliseconds(4));
@@ -28,15 +36,15 @@ TEST(MultiQueueEngineTest, RealisedStealAssignmentBumpsTheTierCounter) {
   h.alloc.ApplyDecision(decision, DecisionSite::kProcessorAvailable);
 
   const JobStats& stats = h.core.job_state(a).job->stats();
-  EXPECT_EQ(stats.steals_same_cluster, 1u);
-  EXPECT_EQ(stats.steals_same_node, 0u);
-  EXPECT_EQ(stats.steals_cross_node, 0u);
-  EXPECT_EQ(stats.TotalSteals(), 1u);
+  EXPECT_EQ(stats.steals[0], 0u);
+  EXPECT_EQ(stats.steals[1], 1u);
+  EXPECT_EQ(stats.steals[2], 0u);
+  EXPECT_EQ(stats.steals[3], 0u);
 
   // Re-granting the processor to its current holder is a no-op and must not
   // double-count the steal.
   h.alloc.ApplyDecision(decision, DecisionSite::kProcessorAvailable);
-  EXPECT_EQ(stats.steals_same_cluster, 1u);
+  EXPECT_EQ(stats.steals[1], 1u);
 }
 
 TEST(MultiQueueEngineTest, BalanceMigrateAssignmentBumpsTheBalanceCounter) {
@@ -50,7 +58,7 @@ TEST(MultiQueueEngineTest, BalanceMigrateAssignmentBumpsTheBalanceCounter) {
 
   const JobStats& stats = h.core.job_state(a).job->stats();
   EXPECT_EQ(stats.balance_migrations, 1u);
-  EXPECT_EQ(stats.TotalSteals(), 0u);
+  EXPECT_EQ(TotalSteals(stats), 0u);
 }
 
 MachineConfig NumaMachine() {
@@ -65,17 +73,7 @@ MachineConfig NumaMachine() {
 uint64_t TotalStealsAcrossJobs(const RunResult& run, size_t tier) {
   uint64_t total = 0;
   for (const JobResult& job : run.jobs) {
-    switch (tier) {
-      case 1:
-        total += job.stats.steals_same_cluster;
-        break;
-      case 2:
-        total += job.stats.steals_same_node;
-        break;
-      default:
-        total += job.stats.steals_cross_node;
-        break;
-    }
+    total += job.stats.steals[tier];
   }
   return total;
 }
@@ -97,7 +95,7 @@ TEST(MultiQueueEngineTest, NoStealBaselineNeverSteals) {
   const std::vector<AppProfile> jobs = PaperMixes()[4].Expand(DefaultProfiles());
   const RunResult run = RunOnce(NumaMachine(), PolicyKind::kMqNoSteal, jobs, /*seed=*/42);
   for (const JobResult& job : run.jobs) {
-    EXPECT_EQ(job.stats.TotalSteals(), 0u);
+    EXPECT_EQ(TotalSteals(job.stats), 0u);
     EXPECT_EQ(job.stats.balance_migrations, 0u);
   }
 }
@@ -118,7 +116,7 @@ TEST(MultiQueueEngineTest, NoStealTracksDynAffOnTheFlatMachine) {
         mq.jobs[j].stats.ResponseSeconds() / dyn.jobs[j].stats.ResponseSeconds();
     EXPECT_GT(ratio, 1.0 / 3.0) << mq.jobs[j].app;
     EXPECT_LT(ratio, 3.0) << mq.jobs[j].app;
-    EXPECT_EQ(mq.jobs[j].stats.TotalSteals(), 0u);
+    EXPECT_EQ(TotalSteals(mq.jobs[j].stats), 0u);
   }
 }
 

@@ -48,10 +48,9 @@ RunResult MakeResult(double salt) {
     job.stats.alloc_integral_s = 12345.6789 + salt;
     job.stats.reallocations = 17 + static_cast<uint64_t>(j);
     job.stats.affinity_dispatches = 11;
-    job.stats.migrations_same_core = 1;
-    job.stats.migrations_same_cluster = 2;
-    job.stats.migrations_same_node = 3;
-    job.stats.migrations_cross_node = 4;
+    for (size_t tier = 0; tier < kNumDistanceTiers; ++tier) {
+      job.stats.migrations[tier] = tier + 1;
+    }
     result.jobs.push_back(job);
   }
   return result;
