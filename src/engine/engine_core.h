@@ -44,9 +44,8 @@ struct EngineOptions {
   // %affinity statistics always use the most recent one.
   size_t processor_history_depth = 1;
   // Cadence of the periodic load-balance tick (multi-queue policies). 0 (the
-  // default) defers to Policy::BalanceInterval(), so runs configured through
-  // RunOnce/sweeps can override the policy without a new plumbing path.
-  // Balancing is off when both are 0.
+  // default) falls back to Policy::BalanceInterval(), which is 0 for every
+  // built-in policy, so 0 turns balancing off.
   SimDuration balance_interval = 0;
 };
 

@@ -99,8 +99,8 @@ SweepSpec RtSpec();
 // Keys: the shared grid keys (src/runner/grid_spec.h), plus mixes
 // (comma-separated Table 2 numbers), reps (N fixed or MIN-MAX adaptive),
 // precision, observability (0/1 — schema-v3 affinity-efficiency block) and
-// balance-interval (milliseconds between load-balance ticks, overriding the
-// policy default; 0 to kMaxBalanceIntervalMs). reps is at most
+// balance-interval (milliseconds between load-balance ticks, 0 to
+// kMaxBalanceIntervalMs; 0 turns balancing off). reps is at most
 // kMaxReplications. Returns false and sets `error` on malformed input.
 bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error);
 

@@ -190,8 +190,9 @@ class Policy {
   // Called on quantum expiry for `proc` when Quantum() > 0.
   virtual PolicyDecision OnQuantumExpiry(const SchedView& view, size_t proc);
 
-  // Nonzero enables the periodic load-balance tick (multi-queue policies).
-  // EngineOptions::balance_interval overrides this per run when set.
+  // Cadence of the periodic load-balance tick when
+  // EngineOptions::balance_interval is 0. No built-in policy overrides it,
+  // so a run balances only when that option is set.
   virtual SimDuration BalanceInterval() const { return 0; }
 
   // Called on each balance tick when balancing is enabled; may migrate work
